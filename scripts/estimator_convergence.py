@@ -9,12 +9,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hamb import (  # noqa: E402
-    RowOrderPolicy,
-    gen_gnp,
-    trial_stream,
-    trial_with_policy,
-)
+from hamb import RowOrderPolicy, estimate, gen_gnp  # noqa: E402
 from hamb.exact import ham_dp  # noqa: E402
 
 
@@ -33,21 +28,17 @@ def main() -> int:
     print(f"graph: n={g.n}, arcs={g.num_arcs}, exact count={truth}")
 
     policies = [RowOrderPolicy.ascending(), RowOrderPolicy.follow_path(args.start)]
-    checkpoints = {args.trials // 100, args.trials // 10, args.trials // 3, args.trials}
+    checkpoints = sorted({args.trials // 100, args.trials // 10, args.trials // 3, args.trials} - {0})
     for policy in policies:
-        total = 0
-        zeros = 0
         print(f"policy {policy.describe()}:")
-        for t in range(1, args.trials + 1):
-            value = trial_with_policy(g, policy, trial_stream(args.seed, t - 1)).value
-            total += value
-            zeros += value == 0
-            if t in checkpoints:
-                mean = total / t
-                rel = (mean - truth) / truth if truth else float("nan")
-                print(
-                    f"  after {t:>7} trials: mean {mean:14.2f}  rel.err {rel:+8.4f}  zero-rate {zeros / t:.3f}"
-                )
+        # reports are prefix-consistent: the first t trials of a longer run are these
+        for t in checkpoints:
+            report = estimate(g, policy, t, args.seed)
+            mean = float(report.mean)
+            rel = (mean - truth) / truth if truth else float("nan")
+            print(
+                f"  after {t:>7} trials: mean {mean:14.2f}  rel.err {rel:+8.4f}  zero-rate {report.zero_fraction:.3f}"
+            )
     return 0
 
 

@@ -211,7 +211,10 @@ def _parse_policy_spec(spec: str) -> RowOrderPolicy:
             raise UsageError(f"follow-path start must be >= 1, got {start}")
         return RowOrderPolicy.follow_path(start)
     if spec.startswith("table:"):
-        return _load_table_policy(spec.split(":", 1)[1])
+        path = spec.split(":", 1)[1]
+        if not path:
+            raise UsageError("table policy needs a file path, got 'table:'")
+        return _load_table_policy(path)
     raise UsageError(
         f"policy must be 'ascending', 'follow-path:<v>' or 'table:<path>', got {spec!r}"
     )

@@ -19,9 +19,18 @@ Row order is a policy:
   indexed by the step and the previously chosen column position.
 
 Monte Carlo aggregation keeps mean and sample variance as exact rationals;
-floats appear only in reporting fields.  Per-trial sub-streams come from
-``SeedSequence(entropy=seed, spawn_key=(trial,))`` feeding PCG64, so serial
-and parallel execution agree bit for bit.
+floats appear only in reporting fields.  Trial ``t`` always draws from
+``trial_stream(seed, t)``: ``SeedSequence(entropy=seed, spawn_key=(t,))``
+feeding PCG64.
+
+``trial_with_policy`` runs one trial in plain Python; it is the reference path,
+and ``enumerate_branches`` replays it.  ``estimate`` runs the trials in
+lockstep blocks instead: numpy arrays hold every trial's working state, each
+step draws for all live trials at once, and trials whose candidate set empties
+drop out of the block.  The block computes its trials' PCG64 words itself,
+following numpy's SeedSequence, PCG64 and ``Generator.integers`` algorithms,
+so every trial takes exactly the value the reference path gives it and the
+report equals, byte for byte, the report of running the trials one at a time.
 """
 from __future__ import annotations
 
@@ -303,25 +312,224 @@ def enumerate_branches(g: DiGraph, policy: RowOrderPolicy) -> Iterator[tuple[Fra
         yield Fraction(1, denom[0]), _make_outcome(g, ps, cycle)
 
 
+# --- Lockstep kernel -------------------------------------------------------
+#
+# The words of ``trial_stream(seed, t)`` are computed the way numpy computes
+# them: SeedSequence's entropy pool (numpy/random/bit_generator.pyx), PCG64's
+# XSL-RR generator (pcg64.h), and ``Generator.integers(w)``, which is Lemire's
+# method on the uint32 halves, low half first, of PCG64's raw outputs
+# (distributions.c) and reads nothing when ``w == 1``.
+
+_BLOCK = 256  # trials per lockstep block; keeps the (block, n) temporaries small
+_M32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+# Lemire rejects a draw of width w when the low half of x * w is below 2**32 % w.
+_LEMIRE_THRESHOLD = np.array([0] + [(1 << 32) % w for w in range(1, 65)], dtype=np.uint64)
+
+
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix on ints or uint64 arrays; returns the next constant too."""
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _M32
+    value = value * hash_const & _M32
+    return value ^ value >> 16, hash_const
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _M32
+    return value ^ value >> 16
+
+
+def _absorb(pool: list, hash_const: int, word) -> tuple[list, int]:
+    """Mix one entropy word past the pool size into every pool word."""
+    out = []
+    for p in pool:
+        h, hash_const = _hashmix(word, hash_const)
+        out.append(_mix(p, h))
+    return out, hash_const
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """SeedSequence pool after the run entropy ``seed``, shared by every trial.
+
+    A spawn key pads the run entropy to the pool size, so the trial index is
+    always absorbed after it, by :func:`_absorb`.
+    """
+    words = [seed >> 32 * i & _M32 for i in range(max(_POOL_SIZE, -(-seed.bit_length() // 32)))]
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                h, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], h)
+    for word in words[_POOL_SIZE:]:
+        pool, hash_const = _absorb(pool, hash_const, word)
+    return pool, hash_const
+
+
+def _mul_add128(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step, state * multiplier + inc mod 2**128, on uint64 halves."""
+    a0, a1 = lo & _M32, lo >> 32
+    b0, b1 = _PCG_MULT_LO & _M32, _PCG_MULT_LO >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    lo_out = lo * _PCG_MULT_LO + inc_lo
+    hi_out = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + carry + inc_hi + (lo_out < inc_lo)
+    return hi_out, lo_out
+
+
+def _stream_words(seed: int, trials: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` raw outputs of ``trial_stream(seed, t)``, per row.
+
+    Equals ``np.random.PCG64(SeedSequence(entropy=seed, spawn_key=(t,))).
+    random_raw(count)`` for each uint64 ``t`` in ``trials``.
+    """
+    pool, hash_const = _seed_pool(seed)
+    pool, next_const = _absorb(pool, hash_const, trials & _M32)
+    wide = trials >> 32 != 0  # an index of 2**32 or more is a second spawn-key word
+    if wide.any():
+        wide_pool = _absorb(pool, next_const, trials >> 32)[0]
+        pool = [np.where(wide, w, p) for p, w in zip(pool, wide_pool)]
+    hash_const = _INIT_B
+    state = []  # SeedSequence.generate_state(8) as uint32 words
+    for i in range(8):
+        value, hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+        state.append(value)
+    init_hi, init_lo, seq_hi, seq_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    zero = np.zeros_like(trials)
+    hi, lo = _mul_add128(zero, zero, inc_hi, inc_lo)
+    lo = lo + init_lo
+    hi, lo = _mul_add128(hi + init_hi + (lo < init_lo), lo, inc_hi, inc_lo)
+    out = np.empty((len(trials), count), dtype=np.uint64)
+    for j in range(count):
+        hi, lo = _mul_add128(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        out[:, j] = x >> rot | x << (64 - rot & 63)
+    return out
+
+
+def _choose(cand, u32, live, pos, widths, step):
+    """Draw one candidate column for every live trial, as the scalar trial does.
+
+    ``cand`` holds each trial's candidate mask, whose true positions in
+    ascending order are the scalar ``cand`` list.  Records the candidate counts
+    in ``widths`` and advances ``pos``, each trial's next uint32, in place.
+    Returns the mask of trials that go on, the chosen position for each of
+    them, and the trials whose draw Lemire's method rejects; those are redone
+    on the scalar path, which reads on in the stream.
+    """
+    width = cand.sum(axis=1, dtype=np.uint64)
+    widths[live, step] = width
+    m = u32[live, pos] * width
+    rejected = (m & _M32) < _LEMIRE_THRESHOLD[width]
+    pos += width > 1
+    keep = (width > 0) & ~rejected
+    pick = (m[keep] >> 32).astype(np.intp)
+    chosen = np.argmax(np.cumsum(cand[keep], axis=1) > pick[:, None], axis=1)
+    return keep, chosen, live[rejected]
+
+
+def _walk(adj: np.ndarray, start: int, u32: np.ndarray):
+    """Lockstep ``_run_walk``: per-trial visited rows; the endpoint expands."""
+    blk, n = len(u32), len(adj)
+    widths = np.zeros((blk, n - 1), dtype=np.uint8)
+    live, pos, redo = np.arange(blk), np.zeros(blk, dtype=np.intp), []
+    cur = np.full(blk, start)
+    visited = np.zeros((blk, n), dtype=bool)
+    visited[:, start] = True
+    for step in range(n - 1):
+        keep, cur, rejected = _choose(adj[cur] & ~visited, u32, live, pos, widths, step)
+        redo += rejected.tolist()
+        live, pos, visited = live[keep], pos[keep], visited[keep]
+        visited[np.arange(len(live)), cur] = True
+    return live[adj[cur, start]], widths, redo
+
+
+def _expand(adj: np.ndarray, order: np.ndarray, u32: np.ndarray):
+    """Lockstep ``_run_matrix``: per-trial rows and labels of the working matrix.
+
+    ``order[step, k]`` is the 0-based row position to expand after column
+    position ``k`` was chosen; ``ascending`` is the all-zeros order.
+    """
+    blk, n = len(u32), len(adj)
+    widths = np.zeros((blk, n - 1), dtype=np.uint8)
+    live, pos, redo = np.arange(blk), np.zeros(blk, dtype=np.intp), []
+    rows = np.tile(np.arange(n), (blk, 1))
+    labels = rows.copy()
+    k = np.zeros(blk, dtype=np.intp)
+    for step in range(n - 1):
+        at = np.arange(len(live))
+        gpos = order[step, k]
+        cand = adj[rows[at, gpos][:, None], labels]
+        cand[at, gpos] = False
+        keep, k, rejected = _choose(cand, u32, live, pos, widths, step)
+        redo += rejected.tolist()
+        live, pos, rows, labels, gpos = live[keep], pos[keep], rows[keep], labels[keep], gpos[keep]
+        at = np.arange(len(live))
+        labels[at, gpos], labels[at, k] = labels[at, k], labels[at, gpos]
+        rest = np.arange(n - step - 1)
+        rest = at[:, None], rest + (rest >= gpos[:, None])
+        rows, labels = rows[rest], labels[rest]
+    return live[adj[rows[:, 0], labels[:, 0]]], widths, redo
+
+
+def _block_values(g: DiGraph, policy: RowOrderPolicy, seed: int, trials: np.ndarray) -> list[int]:
+    """``trial_with_policy(g, policy, trial_stream(seed, t)).value`` for each t, in lockstep.
+
+    Each draw with two or more candidates reads the trial's next uint32, and
+    draws happen at steps 0..n-2, so every read falls in the first n - 1
+    uint32s: the first n // 2 raw words.  A rejected draw would read on; the
+    trial is redone on the scalar path instead.
+    """
+    raw = _stream_words(seed, trials, g.n // 2)
+    u32 = np.stack([raw & _M32, raw >> 32], axis=2).reshape(len(trials), -1)
+    adj = np.array(g.matrix(), dtype=bool)
+    if policy.kind == "follow-path":
+        hits, widths, redo = _walk(adj, policy.start - 1, u32)
+    else:
+        order = np.array(policy.table or [[1] * g.n] * g.n, dtype=np.intp) - 1
+        hits, widths, redo = _expand(adj, order, u32)
+    values = [0] * len(trials)
+    for b in hits.tolist():
+        values[b] = math.prod(widths[b].tolist())
+    for b in redo:
+        values[b] = trial_with_policy(g, policy, trial_stream(seed, int(trials[b]))).value
+    return values
+
+
 def estimate(g: DiGraph, policy: RowOrderPolicy, trials: int, seed: int) -> EstimateReport:
     """Run independent trials and aggregate them exactly.
 
-    Trial ``t`` uses ``trial_stream(seed, t)``, so the report is a pure
-    function of (graph, policy, trials, seed) no matter how trials are
-    scheduled; the exact rational aggregation is order-insensitive.
+    Trial ``t`` uses ``trial_stream(seed, t)`` and takes the value
+    ``trial_with_policy`` gives it, so the report is a pure function of
+    (graph, policy, trials, seed), and its first ``k`` trials are those of
+    ``estimate(g, policy, k, seed)``.
     """
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     _check_policy(g, policy)
     total = 0
     total_sq = 0
     zeros = 0
-    for t in range(trials):
-        value = trial_with_policy(g, policy, trial_stream(seed, t)).value
-        total += value
-        total_sq += value * value
-        if value == 0:
-            zeros += 1
+    for first in range(0, trials, _BLOCK):
+        block = np.arange(first, min(first + _BLOCK, trials), dtype=np.uint64)
+        for value in _block_values(g, policy, seed, block):
+            total += value
+            total_sq += value * value
+            if value == 0:
+                zeros += 1
     mean = Fraction(total, trials)
     if trials > 1:
         variance = (Fraction(total_sq) - Fraction(total * total, trials)) / (trials - 1)

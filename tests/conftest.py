@@ -33,7 +33,7 @@ def all_undigraphs(n: int):
         yield build_undigraph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
-def run_cli(*args: str, env_extra: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+def run_cli(*args: str, env_extra: dict[str, str] | None = None, cwd=None) -> subprocess.CompletedProcess:
     env = os.environ.copy()
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env.update(env_extra or {})
@@ -42,6 +42,7 @@ def run_cli(*args: str, env_extra: dict[str, str] | None = None) -> subprocess.C
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
     )
 
 

@@ -219,9 +219,10 @@ class TestExitCodes:
     def test_usage_error_bad_policy_spec(self, tmp_path):
         path = tmp_path / "c3.txt"
         path.write_text(serialize_graph(gen_family("cycle", 3, "undirected")))
-        res = run_cli("estimate", "--input", str(path), "--trials", "5", "--policy", "zigzag")
-        assert res.returncode == 1
-        assert "usage error" in res.stderr
+        for spec in ("zigzag", "follow-path:", "table:"):
+            res = run_cli("estimate", "--input", str(path), "--trials", "5", "--policy", spec)
+            assert res.returncode == 1, spec
+            assert "usage error" in res.stderr
 
     def test_usage_error_bad_range(self):
         assert run_cli("compare", "--family", "cycle", "--n", "8..3").returncode == 1

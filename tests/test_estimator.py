@@ -1,11 +1,13 @@
 """Randomized trials, policies, branch enumeration, Monte Carlo aggregation."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamb import (
     PolicyError,
@@ -19,9 +21,10 @@ from hamb import (
     trial_stream,
     trial_with_policy,
 )
+from hamb import estimator
 from hamb.exact import ham_dp
 
-from conftest import digraphs
+from conftest import all_digraphs, digraphs
 
 
 class TestRowOrderPolicy:
@@ -209,3 +212,78 @@ class TestEstimate:
         report = estimate(g, RowOrderPolicy.ascending(), 20_000, 7)
         assert report.standard_error > 0
         assert abs(float(report.mean) - truth) <= 5 * report.standard_error
+
+
+def _policies(n: int, seed: int) -> list[RowOrderPolicy]:
+    """ascending, a follow-path start and a random table, all picked by ``seed``."""
+    rng = random.Random(seed)
+    table = [[rng.randint(1, n - i) for _ in range(n)] for i in range(n)]
+    return [
+        RowOrderPolicy.ascending(),
+        RowOrderPolicy.follow_path(1 + seed % n),
+        RowOrderPolicy.from_table(table),
+    ]
+
+
+def _scalar_values(g, policy, seed, trials: np.ndarray) -> list[int]:
+    return [trial_with_policy(g, policy, trial_stream(seed, t)).value for t in trials.tolist()]
+
+
+LOCKSTEP_SEEDS = (0, 5, 3001, 2**40 + 7, 12 * 10**21)
+
+
+class TestLockstep:
+    """The lockstep kernel behind ``estimate`` against the scalar reference path."""
+
+    def test_every_digraph_up_to_four_vertices(self):
+        trials = np.arange(8, dtype=np.uint64)
+        for n in range(1, 5):
+            for i, g in enumerate(all_digraphs(n)):
+                seed = LOCKSTEP_SEEDS[i % len(LOCKSTEP_SEEDS)]
+                for policy in _policies(n, i):
+                    got = estimator._block_values(g, policy, seed, trials)
+                    assert got == _scalar_values(g, policy, seed, trials), (g, policy, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(digraphs(max_n=7), st.sampled_from(LOCKSTEP_SEEDS), st.integers(0, 2**32 - 100))
+    def test_hypothesis_digraphs(self, g, seed, first):
+        trials = np.arange(first, first + 40, dtype=np.uint64)
+        for policy in _policies(g.n, seed + first):
+            got = estimator._block_values(g, policy, seed, trials)
+            assert got == _scalar_values(g, policy, seed, trials)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 12 * 10**21, 2**130 + 3])
+    def test_stream_words_match_numpy(self, seed):
+        trials = [*range(20), 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]
+        got = estimator._stream_words(seed, np.array(trials, dtype=np.uint64), 6)
+        for row, t in zip(got, trials):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(t,))
+            assert row.tolist() == np.random.PCG64(ss).random_raw(6).tolist()
+
+    def test_rejected_draws_replay_on_scalar_path(self, monkeypatch):
+        # Zeroing the low half of a trial's first word makes Lemire's method
+        # reject its first draw (width 6 from vertex 1, and 2**32 % 6 != 0);
+        # that trial must be replayed from its real stream on the scalar path.
+        g = gen_gnp(8, 0.7, 3, "symmetric-digraph")
+        assert bin(g.rows[0]).count("1") == 6
+        policy = RowOrderPolicy.follow_path(1)
+        want = _scalar_values(g, policy, 9, np.arange(600))
+        real_words = estimator._stream_words
+        replayed = []
+
+        def words(seed, trials, count):
+            out = real_words(seed, trials, count)
+            out[trials % 7 == 0, 0] &= np.uint64(0xFFFFFFFF00000000)
+            return out
+
+        def counting_stream(seed, t):
+            replayed.append(t)
+            return trial_stream(seed, t)
+
+        monkeypatch.setattr(estimator, "_stream_words", words)
+        monkeypatch.setattr(estimator, "trial_stream", counting_stream)
+        report = estimate(g, policy, 600, 9)
+        assert replayed == list(range(0, 600, 7))
+        assert report.sum == sum(want)
+        total_sq = sum(v * v for v in want)
+        assert report.sample_variance == (total_sq - Fraction(report.sum**2, 600)) / 599
