@@ -96,10 +96,22 @@ def _exact_bound(q: Fraction) -> BoundValue:
 def minc_bound(r: Sequence[int]) -> BoundValue:
     """Permanent bound prod (r_i + 1) / 2, exact."""
     vals = _check_degrees(r)
-    prod = 1
+    return _exact_bound(Fraction(math.prod(x + 1 for x in vals), 2 ** len(vals)))
+
+
+def _bregman_term(x: int) -> float:
+    """log (x!)^(1/x), one row's factor of the Bregman bound (x >= 1)."""
+    return math.log(math.factorial(x)) / x
+
+
+def _bregman_value(vals: Sequence[int], log_upper: float) -> BoundValue:
+    """Add every non-zero row's upward-rounded term to ``log_upper``, in row
+    order; a zero row pins the integer cap to 0."""
     for x in vals:
-        prod *= x + 1
-    return _exact_bound(Fraction(prod, 2 ** len(vals)))
+        if x > 0:
+            log_upper += _up(_bregman_term(x))
+    cap = 0 if 0 in vals else _cap_from_log(log_upper)
+    return BoundValue(exact=None, log_upper=log_upper, integer_cap=cap)
 
 
 def bregman_bound(r: Sequence[int]) -> BoundValue:
@@ -108,26 +120,13 @@ def bregman_bound(r: Sequence[int]) -> BoundValue:
     A zero row forces the permanent to zero, so such rows pin the integer cap
     to 0 and are omitted from the log (their factor is conventionally 1).
     """
-    vals = _check_degrees(r)
-    log_upper = 0.0
-    for x in vals:
-        if x > 0:
-            log_upper += _up(math.log(math.factorial(x)) / x)
-    has_zero_row = any(x == 0 for x in vals)
-    if has_zero_row:
-        cap = 0
-    else:
-        cap = _cap_from_log(log_upper)
-    return BoundValue(exact=None, log_upper=log_upper, integer_cap=cap)
+    return _bregman_value(_check_degrees(r), 0.0)
 
 
 def symmetric_product_value(r: Sequence[int]) -> Fraction:
     """The raw value prod r_i / 2^(n-1) for a degree sequence."""
     vals = _check_degrees(r)
-    prod = 1
-    for x in vals:
-        prod *= x
-    return Fraction(prod, 2 ** (len(vals) - 1))
+    return Fraction(math.prod(vals), 2 ** (len(vals) - 1))
 
 
 def symmetric_bound(g: DiGraph) -> BoundValue:
@@ -139,28 +138,19 @@ def symmetric_bound(g: DiGraph) -> BoundValue:
     return _exact_bound(symmetric_product_value(row_sums(g)))
 
 
-def _pick_minimum(candidates: list[tuple[str, BoundValue | None]]) -> str:
-    best_name = None
-    best_log = None
-    for name, bound in candidates:
-        if bound is None:
-            continue
-        if best_log is None or bound.log_upper < best_log:
-            best_name = name
-            best_log = bound.log_upper
-    return best_name
+def _report(minc: BoundValue, bregman: BoundValue, symmetric: BoundValue | None) -> BoundReport:
+    """Name the smallest applicable bound by log value; ties go to symmetric,
+    then bregman."""
+    candidates = [("symmetric", symmetric), ("bregman", bregman), ("minc", minc)]
+    name = min((c for c in candidates if c[1] is not None), key=lambda c: c[1].log_upper)[0]
+    return BoundReport(minc=minc, bregman=bregman, symmetric=symmetric, applicable_minimum=name)
 
 
 def digraph_bounds(g: DiGraph) -> BoundReport:
     """Bound report for a digraph; the symmetric bound joins when it applies."""
     r = row_sums(g)
-    minc = minc_bound(r)
-    bregman = bregman_bound(r)
-    symmetric = None
-    if g.n >= 3 and is_symmetric(g):
-        symmetric = _exact_bound(symmetric_product_value(r))
-    name = _pick_minimum([("symmetric", symmetric), ("bregman", bregman), ("minc", minc)])
-    return BoundReport(minc=minc, bregman=bregman, symmetric=symmetric, applicable_minimum=name)
+    symmetric = _exact_bound(symmetric_product_value(r)) if g.n >= 3 and is_symmetric(g) else None
+    return _report(minc_bound(r), bregman_bound(r), symmetric)
 
 
 def undirected_bounds(g: UndiGraph) -> BoundReport:
@@ -168,27 +158,18 @@ def undirected_bounds(g: UndiGraph) -> BoundReport:
 
     Slots keep the name of the directed bound they derive from: minc holds
     (1/2^(n+1)) prod (d_i+1), symmetric holds (1/2^n) prod d_i, and bregman
-    holds (1/2) prod (d_i!)^(1/d_i).
+    holds (1/2) prod (d_i!)^(1/d_i).  The rationals halve exactly; the bregman
+    log starts from the rounded-up log 1/2, so it is not the image's
+    ``log_upper`` plus that term (float addition is not associative).
     """
     if g.n < 3:
         raise ValueError(f"undirected bounds need n >= 3, got n={g.n}")
     d = degrees(g)
-    n = g.n
-    prod_plus = 1
-    prod = 1
-    for x in d:
-        prod_plus *= x + 1
-        prod *= x
-    minc = _exact_bound(Fraction(prod_plus, 2 ** (n + 1)))
-    symmetric = _exact_bound(Fraction(prod, 2 ** n))
-    log_upper = _up(-math.log(2.0))
-    for x in d:
-        if x > 0:
-            log_upper += _up(math.log(math.factorial(x)) / x)
-    cap = 0 if any(x == 0 for x in d) else _cap_from_log(log_upper)
-    bregman = BoundValue(exact=None, log_upper=log_upper, integer_cap=cap)
-    name = _pick_minimum([("symmetric", symmetric), ("bregman", bregman), ("minc", minc)])
-    return BoundReport(minc=minc, bregman=bregman, symmetric=symmetric, applicable_minimum=name)
+    return _report(
+        _exact_bound(minc_bound(d).exact / 2),
+        _bregman_value(d, _up(-math.log(2.0))),
+        _exact_bound(symmetric_product_value(d) / 2),
+    )
 
 
 def dominance_compare(r: Sequence[int]) -> DominanceRecord:
@@ -208,7 +189,7 @@ def dominance_compare(r: Sequence[int]) -> DominanceRecord:
         new_le_bregman = True
     else:
         log_new = math.log(sym_q.numerator) - math.log(sym_q.denominator)
-        log_breg = sum(math.log(math.factorial(x)) / x for x in vals if x > 0)
+        log_breg = sum(_bregman_term(x) for x in vals if x > 0)
         new_le_bregman = log_new <= log_breg
     return DominanceRecord(
         symmetric=symmetric,

@@ -1,12 +1,10 @@
-"""Command-line front end: graph file I/O and the six subcommands.
+"""Command-line front end: the six subcommands.
 
-Two input formats are accepted.  The text format starts with a header line
-``n m kind`` (kind is ``directed`` or ``undirected``) followed by m lines
-``u v`` with 1-based labels; the object format is a JSON document with keys
-``n``, ``kind``, ``edges``.  Reports go to stdout and are byte-identical for
-identical inputs; wall-clock timing goes to stderr only.  Counts are printed
-as decimal strings, exact rationals as ``numerator/denominator``, reals with
-15 significant digits.
+The graph and table file formats live in :mod:`hamb.io`; ``parse_graph`` and
+``serialize_graph`` are re-exported here.  Reports go to stdout and are
+byte-identical for identical inputs; wall-clock timing goes to stderr only.
+Counts are printed as decimal strings, exact rationals as
+``numerator/denominator``, reals with 15 significant digits.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 size-limit error,
 4 selftest failure.
@@ -16,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import sys
@@ -28,19 +25,8 @@ from . import exact
 from .bounds import BoundValue, digraph_bounds, dominance_compare, undirected_bounds
 from .errors import GraphSizeError, ParseError, PolicyError
 from .estimator import RowOrderPolicy, estimate
-from .graphs import (
-    DiGraph,
-    FAMILIES,
-    GRAPH_KINDS,
-    UndiGraph,
-    build_digraph,
-    build_undigraph,
-    gen_family,
-    gen_gnp,
-    max_vertices,
-    row_sums,
-    to_symmetric_digraph,
-)
+from .graphs import FAMILIES, GRAPH_KINDS, DiGraph, UndiGraph, gen_family, gen_gnp, row_sums, to_symmetric_digraph
+from .io import load_table_policy, parse_graph, serialize_graph
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,128 +59,6 @@ def _digest(data: bytes) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Graph file formats
-
-
-def parse_graph(text: str, fmt: str | None = None) -> DiGraph | UndiGraph:
-    """Parse either accepted format; ``fmt`` forces one, otherwise sniff."""
-    if fmt is None:
-        fmt = "object" if text.lstrip()[:1] == "{" else "text"
-    if fmt == "object":
-        return _parse_object(text)
-    if fmt == "text":
-        return _parse_text(text)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def _parse_header_int(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"{what} must be an integer, got {token!r}", line=1) from None
-
-
-def _parse_text(text: str) -> DiGraph | UndiGraph:
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise ParseError("missing header line 'n m kind'", line=1)
-    tokens = lines[0].split()
-    if len(tokens) != 3:
-        raise ParseError(f"header must be 'n m kind', got {lines[0]!r}", line=1)
-    n = _parse_header_int(tokens[0], "n")
-    m = _parse_header_int(tokens[1], "m")
-    kind = tokens[2]
-    if kind not in ("directed", "undirected"):
-        raise ParseError(f"kind must be 'directed' or 'undirected', got {kind!r}", line=1)
-    if n < 1:
-        raise ParseError(f"n must be >= 1, got {n}", line=1)
-    if m < 0:
-        raise ParseError(f"m must be >= 0, got {m}", line=1)
-    if n > max_vertices():
-        raise GraphSizeError(f"line 1: n={n} exceeds the vertex cap of {max_vertices()}")
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        toks = raw.split()
-        if len(toks) != 2:
-            raise ParseError(f"edge line must be 'u v', got {raw!r}", line=lineno)
-        pair = []
-        for tok in toks:
-            try:
-                pair.append(int(tok))
-            except ValueError:
-                col = raw.index(tok) + 1
-                raise ParseError(f"vertex label must be an integer, got {tok!r}", line=lineno, col=col) from None
-        u, v = pair
-        _check_edge(u, v, n, lineno)
-        edges.append((u, v))
-    if len(edges) != m:
-        raise ParseError(f"header declares {m} edges but {len(edges)} edge lines found", line=1)
-    if kind == "directed":
-        return build_digraph(n, edges)
-    return build_undigraph(n, edges)
-
-
-def _check_edge(u: int, v: int, n: int, lineno: int | None = None, index: int | None = None):
-    where = f"edges[{index}]: " if index is not None else ""
-    if u == v:
-        raise ParseError(f"{where}self-loop {u} {v}", line=lineno)
-    if not (1 <= u <= n and 1 <= v <= n):
-        raise ParseError(f"{where}vertex label out of range 1..{n}: {u} {v}", line=lineno)
-
-
-def _parse_object(text: str) -> DiGraph | UndiGraph:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid object syntax: {e.msg}", line=e.lineno, col=e.colno) from None
-    if not isinstance(obj, dict):
-        raise ParseError("object form must be a JSON object with keys n, kind, edges")
-    extra = set(obj) - {"n", "kind", "edges"}
-    missing = {"n", "kind", "edges"} - set(obj)
-    if extra or missing:
-        raise ParseError(
-            f"object form needs exactly keys n, kind, edges (missing: {sorted(missing)}, unknown: {sorted(extra)})"
-        )
-    n = obj["n"]
-    kind = obj["kind"]
-    edges = obj["edges"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParseError(f"n must be a positive integer, got {n!r}")
-    if kind not in ("directed", "undirected"):
-        raise ParseError(f"kind must be 'directed' or 'undirected', got {kind!r}")
-    if n > max_vertices():
-        raise GraphSizeError(f"n={n} exceeds the vertex cap of {max_vertices()}")
-    if not isinstance(edges, list):
-        raise ParseError("edges must be a list of [u, v] pairs")
-    pairs: list[tuple[int, int]] = []
-    for idx, e in enumerate(edges):
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) and not isinstance(x, bool) for x in e)):
-            raise ParseError(f"edges[{idx}]: must be a pair of integers, got {e!r}")
-        u, v = e
-        _check_edge(u, v, n, index=idx)
-        pairs.append((u, v))
-    if kind == "directed":
-        return build_digraph(n, pairs)
-    return build_undigraph(n, pairs)
-
-
-def serialize_graph(g: DiGraph | UndiGraph, fmt: str = "text") -> str:
-    directed = isinstance(g, DiGraph)
-    pairs = g.arcs() if directed else g.edge_list()
-    kind = "directed" if directed else "undirected"
-    if fmt == "text":
-        lines = [f"{g.n} {len(pairs)} {kind}"]
-        lines.extend(f"{u} {v}" for u, v in pairs)
-        return "\n".join(lines) + "\n"
-    if fmt == "object":
-        obj = {"n": g.n, "kind": kind, "edges": [[u, v] for u, v in pairs]}
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-# ---------------------------------------------------------------------------
 # Policy specs
 
 
@@ -214,34 +78,10 @@ def _parse_policy_spec(spec: str) -> RowOrderPolicy:
         path = spec.split(":", 1)[1]
         if not path:
             raise UsageError("table policy needs a file path, got 'table:'")
-        return _load_table_policy(path)
+        return load_table_policy(path)
     raise UsageError(
         f"policy must be 'ascending', 'follow-path:<v>' or 'table:<path>', got {spec!r}"
     )
-
-
-def _load_table_policy(path: str) -> RowOrderPolicy:
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise PolicyError(f"cannot read table file {path}: {e}") from None
-    rows: list[list[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            rows.append([int(tok) for tok in raw.split()])
-        except ValueError:
-            raise PolicyError(f"table file {path} line {lineno}: entries must be integers") from None
-    if not rows:
-        raise PolicyError(f"table file {path} is empty")
-    n = len(rows)
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) != n:
-            raise PolicyError(
-                f"table file {path}: row {lineno} has {len(row)} entries, expected {n} ({n} rows found)"
-            )
-    return RowOrderPolicy.from_table(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +189,14 @@ def _cmd_bounds(args) -> int:
     else:
         report = digraph_bounds(g)
         count = exact.ham_dp(g) if g.n <= COUNT_FEASIBLE_N else None
-    for name, bound in (("symmetric", report.symmetric), ("bregman", report.bregman), ("minc", report.minc)):
-        if bound is not None:
-            fields.update(_bound_fields(name, bound))
+    slots = (("symmetric", report.symmetric), ("bregman", report.bregman), ("minc", report.minc))
+    slots = [(name, bound) for name, bound in slots if bound is not None]
+    for name, bound in slots:
+        fields.update(_bound_fields(name, bound))
     fields["applicable-minimum"] = report.applicable_minimum
     if count is not None:
         fields["count"] = str(count)
-        tight = [
-            name
-            for name, bound in (("symmetric", report.symmetric), ("bregman", report.bregman), ("minc", report.minc))
-            if bound is not None and bound.integer_cap == count
-        ]
+        tight = [name for name, bound in slots if bound.integer_cap == count]
         fields["tight"] = ",".join(tight) if tight else "-"
     _emit_fields(args, fields)
     return EXIT_OK
@@ -381,13 +218,20 @@ def _parse_range(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _cmd_compare(args) -> int:
-    lo, hi = _parse_range(args.n)
-    if args.family == "gnp":
+def _check_draw_args(args, flag: str, choice: str) -> None:
+    """The --seed and --p checks that ``compare`` and ``gen`` share."""
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    if choice == "gnp":
         if args.p is None:
-            raise UsageError("--p is required for --family gnp")
+            raise UsageError(f"--p is required for {flag} gnp")
         if not 0.0 <= args.p <= 1.0:
             raise UsageError(f"--p must be in [0, 1], got {args.p}")
+
+
+def _cmd_compare(args) -> int:
+    lo, hi = _parse_range(args.n)
+    _check_draw_args(args, "--family", args.family)
     rows = []
     for n in range(lo, hi + 1):
         if args.family == "gnp":
@@ -422,22 +266,15 @@ def _cmd_compare(args) -> int:
             doc["seed"] = str(args.seed)
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+        writer = csv.DictWriter(sys.stdout, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
     return EXIT_OK
 
 
 def _cmd_gen(args) -> int:
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    _check_draw_args(args, "--model", args.model)
     if args.model == "gnp":
-        if args.p is None:
-            raise UsageError("--p is required for --model gnp")
-        if not 0.0 <= args.p <= 1.0:
-            raise UsageError(f"--p must be in [0, 1], got {args.p}")
         g = gen_gnp(args.n, args.p, args.seed, kind=args.kind)
     else:
         g = gen_family(args.model, args.n, kind=args.kind)

@@ -169,7 +169,8 @@ def _cycle_order(succ: dict[int, int], n: int) -> list[int]:
 
 
 def _run_matrix(g: DiGraph, policy: RowOrderPolicy, choose: Callable[[list[int]], int]):
-    """Matrix-form trial for the ascending and table policies.
+    """Matrix-form trial for the table policy; ``ascending`` is the all-ones
+    table, so it always expands the top row.
 
     Returns (p_factors_so_far, cycle_vertex_order_or_None).  ``choose`` gets
     the candidate column positions in ascending order and returns one of them.
@@ -183,15 +184,7 @@ def _run_matrix(g: DiGraph, policy: RowOrderPolicy, choose: Callable[[list[int]]
     table = policy.table
     for step in range(n):
         m = n - step
-        if table is None:
-            gpos = 0
-        else:
-            want = table[step][k]
-            if not 1 <= want <= m:
-                raise PolicyError(
-                    f"table entry ({step + 1},{k + 1}) selects row {want} of a {m}x{m} matrix"
-                )
-            gpos = want - 1
+        gpos = (table[step][k] if table else 1) - 1
         u = rows[gpos]
         row = adj[u]
         if m == 1:
@@ -263,11 +256,6 @@ def trial_with_policy(g: DiGraph, policy: RowOrderPolicy, stream: np.random.Gene
     _check_policy(g, policy)
     ps, cycle = _run(g, policy, lambda cand: cand[int(stream.integers(len(cand)))])
     return _make_outcome(g, ps, cycle)
-
-
-def trial_ascending(g: DiGraph, stream: np.random.Generator) -> TrialOutcome:
-    """One randomized trial with the fixed ascending row order."""
-    return trial_with_policy(g, RowOrderPolicy.ascending(), stream)
 
 
 class _Probe(Exception):

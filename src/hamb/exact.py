@@ -2,9 +2,10 @@
 
 All counters return arbitrary-precision integers.  ``ham_bruteforce`` is the
 literal permutation-cycle sum and serves as the independent oracle for the
-subset dynamic program; both accept contracted matrices (whose diagonal may
-carry ones - those entries can only matter for a 1x1 matrix, since a cycle
-product never repeats an index).  The permanent is evaluated with the
+subset dynamic program; both take any ``ContractedMatrix``, of which a
+``DiGraph`` is one (a contracted matrix's diagonal may carry ones - those
+entries can only matter for a 1x1 matrix, since a cycle product never repeats
+an index).  The permanent is evaluated with the
 inclusion-exclusion over column subsets in Gray-code order.
 
 ``estimator_expectation`` walks every branch of an estimator's random

@@ -6,7 +6,9 @@ bit ``v`` is set iff the arc ``u -> v`` exists (0-based internally).  Vertex
 labels in every public signature are 1-based.  Bit rows keep row scans, the
 subset dynamic program, and the permanent cheap, at the price of a hard cap of
 64 vertices (lowerable through the ``HAMB_MAX_N`` environment variable, never
-raisable).
+raisable).  A ``DiGraph`` is a ``ContractedMatrix``, the 0/1 matrix that
+contraction produces, that also obeys the cap and has a zero diagonal.  The
+graph file formats live in :mod:`hamb.io`.
 """
 from __future__ import annotations
 
@@ -51,45 +53,6 @@ def _check_vertex_count(n: int) -> None:
 
 
 @dataclass(frozen=True)
-class DiGraph:
-    """Simple directed graph on vertices 1..n; zero diagonal, 0/1 arcs."""
-
-    n: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_vertex_count(self.n)
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
-        full = (1 << self.n) - 1
-        for u, row in enumerate(self.rows):
-            if row & ~full:
-                raise ValueError(f"row {u + 1} has bits outside 1..{self.n}")
-            if row >> u & 1:
-                raise ValueError(f"self-loop at vertex {u + 1}")
-
-    @property
-    def num_arcs(self) -> int:
-        return sum(row.bit_count() for row in self.rows)
-
-    def has_arc(self, u: int, v: int) -> bool:
-        """Arc u -> v, 1-based labels."""
-        return bool(self.rows[u - 1] >> (v - 1) & 1)
-
-    def arcs(self) -> list[tuple[int, int]]:
-        """All arcs as sorted 1-based pairs."""
-        return [
-            (u + 1, v + 1)
-            for u in range(self.n)
-            for v in range(self.n)
-            if self.rows[u] >> v & 1
-        ]
-
-    def matrix(self) -> list[list[int]]:
-        return [[self.rows[u] >> v & 1 for v in range(self.n)] for u in range(self.n)]
-
-
-@dataclass(frozen=True)
 class ContractedMatrix:
     """0/1 matrix produced by :func:`contract`; diagonal ones are permitted
     (the slot that closes a partially committed cycle)."""
@@ -111,7 +74,40 @@ class ContractedMatrix:
         return [[self.rows[u] >> v & 1 for v in range(self.n)] for u in range(self.n)]
 
 
-Adjacency = DiGraph | ContractedMatrix
+@dataclass(frozen=True)
+class DiGraph(ContractedMatrix):
+    """Simple directed graph on vertices 1..n; zero diagonal, 0/1 arcs.
+
+    A ``ContractedMatrix`` that also obeys the vertex cap and has no
+    self-loops, so every counter that takes a matrix takes a digraph.
+    """
+
+    def __post_init__(self):
+        _check_vertex_count(self.n)
+        super().__post_init__()
+        for u, row in enumerate(self.rows):
+            if row >> u & 1:
+                raise ValueError(f"self-loop at vertex {u + 1}")
+
+    @property
+    def num_arcs(self) -> int:
+        return sum(row.bit_count() for row in self.rows)
+
+    def has_arc(self, u: int, v: int) -> bool:
+        """Arc u -> v, 1-based labels."""
+        return bool(self.rows[u - 1] >> (v - 1) & 1)
+
+    def arcs(self) -> list[tuple[int, int]]:
+        """All arcs as sorted 1-based pairs."""
+        return [
+            (u + 1, v + 1)
+            for u in range(self.n)
+            for v in range(self.n)
+            if self.rows[u] >> v & 1
+        ]
+
+
+Adjacency = ContractedMatrix  # a DiGraph is one too
 
 
 @dataclass(frozen=True)
@@ -304,20 +300,14 @@ def gen_family(name: str, n: int, kind: str = "undirected") -> DiGraph | UndiGra
     _check_vertex_count(n)
     if name == "cycle" and n < 3:
         raise ValueError(f"cycle family needs n >= 3, got {n}")
-    if kind == "digraph":
-        if name == "complete":
-            arcs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
-        elif name == "cycle":
-            arcs = [(u, u + 1) for u in range(1, n)] + [(n, 1)]
-        else:
-            arcs = [(u, u + 1) for u in range(1, n)]
-        return build_digraph(n, arcs)
     if name == "complete":
         pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     elif name == "cycle":
         pairs = [(u, u + 1) for u in range(1, n)] + [(n, 1)]
     else:
         pairs = [(u, u + 1) for u in range(1, n)]
+    if kind == "digraph" and name != "complete":  # the complete digraph is the doubled K_n
+        return build_digraph(n, pairs)
     g = build_undigraph(n, pairs)
     return g if kind == "undirected" else to_symmetric_digraph(g)
 

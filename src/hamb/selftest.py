@@ -14,7 +14,6 @@ import numpy as np
 
 from . import exact
 from .bounds import bregman_bound, minc_bound, symmetric_product_value
-from .cli import parse_graph, serialize_graph
 from .estimator import RowOrderPolicy
 from .graphs import (
     DiGraph,
@@ -27,6 +26,7 @@ from .graphs import (
     row_sums,
     to_symmetric_digraph,
 )
+from .io import parse_graph, serialize_graph
 
 Emit = Callable[[str], None]
 
@@ -39,13 +39,15 @@ def _corrupted_digraph() -> DiGraph:
     return bad
 
 
-def _all_undigraphs(n: int):
+def all_undigraphs(n: int):
+    """Every simple undirected graph on n labeled vertices (2^C(n,2))."""
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     for mask in range(1 << len(pairs)):
         yield build_undigraph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
-def _all_digraphs(n: int):
+def all_digraphs(n: int):
+    """Every simple digraph on n labeled vertices (2^(n(n-1)) of them)."""
     cells = [(u, v) for u in range(n) for v in range(n) if u != v]
     for mask in range(1 << len(cells)):
         rows = [0] * n
@@ -90,7 +92,7 @@ def _suite_graph_invariants(fault: DiGraph | None) -> tuple[bool, str]:
 
 def _suite_oracle_agreement() -> tuple[bool, str]:
     checked = 0
-    for g in _all_digraphs(4):
+    for g in all_digraphs(4):
         if exact.ham_dp(g) != exact.ham_bruteforce(g):
             return False, f"dp/brute mismatch on {g!r}"
         checked += 1
@@ -121,7 +123,7 @@ def _policies_for(n: int, rng: np.random.Generator) -> list[RowOrderPolicy]:
 def _suite_unbiasedness() -> tuple[bool, str]:
     rng = np.random.default_rng(7)
     checked = 0
-    graphs = [to_symmetric_digraph(g) for g in _all_undigraphs(4)]
+    graphs = [to_symmetric_digraph(g) for g in all_undigraphs(4)]
     for seed in range(10):
         n = 5 + seed % 2
         graphs.append(gen_gnp(n, 0.55, 1000 + seed, kind="symmetric-digraph"))

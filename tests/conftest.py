@@ -1,5 +1,5 @@
-"""Shared helpers: path setup, exhaustive graph iterators, CLI runner,
-hypothesis strategies."""
+"""Shared helpers: path setup, the exhaustive graph iterators of
+``hamb.selftest``, CLI runner, hypothesis strategies."""
 from __future__ import annotations
 
 import os
@@ -13,24 +13,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 from hamb import DiGraph, UndiGraph, build_undigraph  # noqa: E402
-
-
-def all_digraphs(n: int):
-    """Every simple digraph on n labeled vertices (2^(n(n-1)) of them)."""
-    cells = [(u, v) for u in range(n) for v in range(n) if u != v]
-    for mask in range(1 << len(cells)):
-        rows = [0] * n
-        for i, (u, v) in enumerate(cells):
-            if mask >> i & 1:
-                rows[u] |= 1 << v
-        yield DiGraph(n, tuple(rows))
-
-
-def all_undigraphs(n: int):
-    """Every simple undirected graph on n labeled vertices (2^C(n,2))."""
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    for mask in range(1 << len(pairs)):
-        yield build_undigraph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+from hamb.selftest import all_digraphs, all_undigraphs  # noqa: E402,F401
 
 
 def run_cli(*args: str, env_extra: dict[str, str] | None = None, cwd=None) -> subprocess.CompletedProcess:

@@ -25,7 +25,7 @@ from hamb import (
     to_symmetric_digraph,
     undirected_bounds,
 )
-from hamb.cli import parse_graph, serialize_graph
+from hamb.io import parse_graph, serialize_graph
 from hamb.exact import estimator_expectation, ham_bruteforce, ham_dp, ham_undirected, permanent_ryser
 from hamb.graphs import is_symmetric, row_sums
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from hamb import ParseError, GraphSizeError, UndiGraph, DiGraph, gen_gnp, gen_family
-from hamb.cli import parse_graph, serialize_graph
+from hamb.io import parse_graph, serialize_graph
 
 from conftest import run_cli
 
@@ -33,9 +33,11 @@ class TestParseGraph:
         assert exc.value.line == 1
 
     def test_bad_token_column(self):
-        with pytest.raises(ParseError) as exc:
-            parse_graph("2 1 directed\n1 x\n")
-        assert exc.value.line == 2 and exc.value.col == 3
+        # the column is the bad label's own, also where it is a prefix of the label before it
+        for line, col in (("1 x", 3), ("-2 -", 4), ("+1 +", 4), ("-2  \t-", 6)):
+            with pytest.raises(ParseError) as exc:
+                parse_graph(f"3 1 directed\n{line}\n")
+            assert (exc.value.line, exc.value.col) == (2, col), line
 
     def test_edge_count_mismatch(self):
         with pytest.raises(ParseError, match="declares 2"):
@@ -61,6 +63,11 @@ class TestParseGraph:
     def test_object_unknown_key(self):
         with pytest.raises(ParseError, match="unknown"):
             parse_graph('{"n": 2, "kind": "directed", "edges": [], "weighted": true}')
+
+    def test_cli_reexports_io(self):
+        from hamb import cli, io
+
+        assert (cli.parse_graph, cli.serialize_graph) == (io.parse_graph, io.serialize_graph)
 
     def test_sniffing(self):
         assert isinstance(parse_graph('  {"n": 1, "kind": "directed", "edges": []}'), DiGraph)
@@ -223,6 +230,21 @@ class TestExitCodes:
             res = run_cli("estimate", "--input", str(path), "--trials", "5", "--policy", spec)
             assert res.returncode == 1, spec
             assert "usage error" in res.stderr
+
+    @pytest.mark.parametrize("cmd", [
+        ("compare", "--family", "gnp", "--n", "3..4", "--p", "0.5"),
+        ("gen", "--model", "gnp", "--n", "4", "--p", "0.5", "--out", "g.txt"),
+    ])
+    @pytest.mark.parametrize("bad", [("--seed", "-1"), ("--p", "1.5")])
+    def test_usage_error_bad_draw_args(self, tmp_path, cmd, bad):
+        res = run_cli(*cmd, *bad, cwd=tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert "usage error" in res.stderr
+        assert not (tmp_path / "g.txt").exists()
+
+    def test_usage_error_gnp_needs_p(self, tmp_path):
+        assert run_cli("compare", "--family", "gnp", "--n", "3..4").returncode == 1
+        assert run_cli("gen", "--model", "gnp", "--n", "4", "--out", "g.txt", cwd=tmp_path).returncode == 1
 
     def test_usage_error_bad_range(self):
         assert run_cli("compare", "--family", "cycle", "--n", "8..3").returncode == 1

@@ -17,7 +17,6 @@ from hamb import (
     estimate,
     gen_family,
     gen_gnp,
-    trial_ascending,
     trial_stream,
     trial_with_policy,
 )
@@ -58,14 +57,14 @@ class TestTrials:
     def test_triangle_every_trial_is_two(self):
         g = gen_family("cycle", 3, "symmetric-digraph")
         for t in range(20):
-            out = trial_ascending(g, trial_stream(1, t))
+            out = trial_with_policy(g, RowOrderPolicy.ascending(), trial_stream(1, t))
             assert out.value == 2
             assert out.p_factors == (2, 1, 1)
             assert out.witness is not None and out.witness.is_cycle_of(g)
 
     def test_directed_cycle_deterministic(self):
         g = build_digraph(3, [(1, 2), (2, 3), (3, 1)])
-        out = trial_ascending(g, trial_stream(0, 0))
+        out = trial_with_policy(g, RowOrderPolicy.ascending(), trial_stream(0, 0))
         assert out.value == 1
         assert out.p_factors == (1, 1, 1)
         assert out.witness.vertices == (1, 2, 3)
@@ -73,7 +72,7 @@ class TestTrials:
     def test_isolated_vertex_always_zero(self):
         g = build_digraph(4, [(1, 2), (2, 3), (3, 1)])  # vertex 4 isolated
         for t in range(10):
-            out = trial_ascending(g, trial_stream(5, t))
+            out = trial_with_policy(g, RowOrderPolicy.ascending(), trial_stream(5, t))
             assert out.value == 0
             assert out.witness is None
             assert out.p_factors[-1] == 0 or 0 in out.p_factors
@@ -98,7 +97,7 @@ class TestTrials:
     @given(digraphs(max_n=6))
     def test_witness_soundness(self, g):
         for t in range(5):
-            out = trial_ascending(g, trial_stream(13, t))
+            out = trial_with_policy(g, RowOrderPolicy.ascending(), trial_stream(13, t))
             if out.value > 0:
                 assert out.witness is not None
                 assert out.witness.is_cycle_of(g)
@@ -107,19 +106,12 @@ class TestTrials:
 
 
 class TestPolicyEquivalence:
-    def test_ascending_matches_dedicated_trial(self):
-        g = gen_gnp(7, 0.55, 21, "digraph")
-        for t in range(50):
-            a = trial_ascending(g, trial_stream(3, t))
-            b = trial_with_policy(g, RowOrderPolicy.ascending(), trial_stream(3, t))
-            assert a == b
-
     def test_all_ones_table_replays_ascending(self):
         # the ascending order written down as an explicit table
         g = gen_gnp(6, 0.5, 33, "symmetric-digraph")
         ones = RowOrderPolicy.from_table([[1] * g.n for _ in range(g.n)])
         for t in range(50):
-            a = trial_ascending(g, trial_stream(4, t))
+            a = trial_with_policy(g, RowOrderPolicy.ascending(), trial_stream(4, t))
             b = trial_with_policy(g, ones, trial_stream(4, t))
             assert a == b
 

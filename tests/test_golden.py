@@ -1,13 +1,16 @@
 """Golden corpus: the stdout bytes of fixed CLI runs, compared byte for byte.
 
-Each case runs ``hamb`` inside ``tests/golden/`` (the reports name their input
-path, so the path must stay relative) and compares stdout with the file of the
-case's name.  After a deliberate output change, rewrite the expected files with
-``python tests/test_golden.py`` and say so in CHANGES.md.
+Each case runs ``hamb`` in a temporary copy of ``tests/golden/`` (the reports
+name their input and output paths, so the paths must stay relative, and
+``gen --out`` must not write into the corpus) and compares stdout with the
+file of the case's name.  After a deliberate output change, rewrite the
+expected files with ``python tests/test_golden.py`` and say so in CHANGES.md.
 """
 from __future__ import annotations
 
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -16,8 +19,11 @@ from conftest import run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# Trial counts span several kernel blocks; the seeds cover one-word, two-word
-# and five-word SeedSequence entropy.
+# Estimate trial counts span several kernel blocks; the seeds cover one-word,
+# two-word and five-word SeedSequence entropy.  k11.txt is undirected K11,
+# whose bregman fields pin the summation order of the undirected bound;
+# n17.txt is past the largest n that ``bounds`` counts exactly; the isolated-*
+# inputs have a zero-degree vertex, so their bregman cap is 0.
 CASES = {
     "estimate-ascending-directed.txt": (
         "estimate", "--input", "directed.txt", "--trials", "700", "--seed", "5",
@@ -41,11 +47,41 @@ CASES = {
         "estimate", "--input", "undirected.txt", "--trials", "700", "--seed", "12",
         "--policy", "table:table11.txt", "--json",
     ),
+    "exact-dp-directed.txt": ("exact", "--input", "directed.txt", "--method", "dp"),
+    "exact-dp-undirected.json": ("exact", "--input", "undirected.txt", "--method", "dp", "--json"),
+    "exact-brute-directed.json": ("exact", "--input", "small-directed.txt", "--method", "brute", "--json"),
+    "exact-brute-undirected.txt": ("exact", "--input", "small-undirected.txt", "--method", "brute"),
+    "exact-permanent-directed.txt": ("exact", "--input", "directed.txt", "--method", "permanent"),
+    "exact-permanent-undirected.txt": ("exact", "--input", "undirected.txt", "--method", "permanent"),
+    "bounds-directed.txt": ("bounds", "--input", "directed.txt"),
+    "bounds-directed.json": ("bounds", "--input", "directed.txt", "--json"),
+    "bounds-undirected.txt": ("bounds", "--input", "undirected.txt"),
+    "bounds-undirected.json": ("bounds", "--input", "undirected.txt", "--json"),
+    "bounds-k11.txt": ("bounds", "--input", "k11.txt"),
+    "bounds-n17.txt": ("bounds", "--input", "n17.txt"),
+    "bounds-isolated-undirected.txt": ("bounds", "--input", "isolated-undirected.txt"),
+    "bounds-isolated-directed.json": ("bounds", "--input", "isolated-directed.json", "--json"),
+    "compare-complete.csv": ("compare", "--family", "complete", "--n", "3..10"),
+    "compare-complete.json": ("compare", "--family", "complete", "--n", "3..10", "--json"),
+    "compare-cycle.csv": ("compare", "--family", "cycle", "--n", "3..20"),
+    "compare-cycle.json": ("compare", "--family", "cycle", "--n", "3..20", "--json"),
+    "compare-gnp.csv": ("compare", "--family", "gnp", "--n", "3..12", "--p", "0.5", "--seed", "7"),
+    "compare-gnp.json": ("compare", "--family", "gnp", "--n", "3..12", "--p", "0.5", "--seed", "7", "--json"),
+    "gen-gnp-text.txt": (
+        "gen", "--model", "gnp", "--n", "9", "--p", "0.4", "--seed", "11", "--out", "g.txt",
+    ),
+    "gen-complete-object.json": (
+        "gen", "--model", "complete", "--n", "5", "--kind", "digraph", "--format", "object",
+        "--out", "g.json", "--json",
+    ),
+    "selftest.txt": ("selftest",),
 }
 
 
 def _stdout(name: str) -> str:
-    res = run_cli(*CASES[name], cwd=GOLDEN)
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(GOLDEN, tmp, dirs_exist_ok=True)
+        res = run_cli(*CASES[name], cwd=tmp)
     assert res.returncode == 0, res.stderr
     return res.stdout
 
