@@ -218,8 +218,11 @@ def _parse_range(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _check_draw_args(args, flag: str, choice: str) -> None:
-    """The --seed and --p checks that ``compare`` and ``gen`` share."""
+def _check_draw_args(args, flag: str, choice: str, n: int) -> None:
+    """The --n, --seed and --p checks that ``compare`` and ``gen`` share;
+    ``n`` is the smallest vertex count to draw."""
+    if n < 1:
+        raise UsageError(f"--n must be >= 1, got {n}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if choice == "gnp":
@@ -231,7 +234,7 @@ def _check_draw_args(args, flag: str, choice: str) -> None:
 
 def _cmd_compare(args) -> int:
     lo, hi = _parse_range(args.n)
-    _check_draw_args(args, "--family", args.family)
+    _check_draw_args(args, "--family", args.family, lo)
     rows = []
     for n in range(lo, hi + 1):
         if args.family == "gnp":
@@ -273,7 +276,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    _check_draw_args(args, "--model", args.model)
+    _check_draw_args(args, "--model", args.model, args.n)
     if args.model == "gnp":
         g = gen_gnp(args.n, args.p, args.seed, kind=args.kind)
     else:

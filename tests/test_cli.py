@@ -242,6 +242,13 @@ class TestExitCodes:
         assert "usage error" in res.stderr
         assert not (tmp_path / "g.txt").exists()
 
+    @pytest.mark.parametrize("model", [("complete",), ("gnp", "--p", "0.5")])
+    def test_usage_error_gen_n_zero(self, tmp_path, model):
+        res = run_cli("gen", "--model", *model, "--n", "0", "--out", "x.txt", cwd=tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert "usage error" in res.stderr
+        assert not (tmp_path / "x.txt").exists()
+
     def test_usage_error_gnp_needs_p(self, tmp_path):
         assert run_cli("compare", "--family", "gnp", "--n", "3..4").returncode == 1
         assert run_cli("gen", "--model", "gnp", "--n", "4", "--out", "g.txt", cwd=tmp_path).returncode == 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from hamb import (
     gen_gnp,
     to_symmetric_digraph,
 )
+from hamb import exact
 from hamb.exact import (
     estimator_expectation,
     ham_bruteforce,
@@ -79,15 +81,15 @@ class TestHamDp:
         assert ham_dp(build_digraph(3, [(1, 2), (2, 3)])) == 0
 
     def test_complete_digraph_factorials(self):
-        for n in range(2, 8):
+        for n in range(2, 17):
             assert ham_dp(gen_family("complete", n, "symmetric-digraph")) == math.factorial(n - 1)
 
     def test_size_cap(self):
         with pytest.raises(GraphSizeError, match="24"):
             ham_dp(build_digraph(25, []))
 
-    def test_matches_bruteforce_exhaustively_to_n3(self):
-        for n in (1, 2, 3):
+    def test_matches_bruteforce_exhaustively_to_n4(self):
+        for n in (1, 2, 3, 4):
             for g in all_digraphs(n):
                 assert ham_dp(g) == ham_bruteforce(g)
 
@@ -95,6 +97,14 @@ class TestHamDp:
     @given(digraphs(max_n=7))
     def test_matches_bruteforce(self, g):
         assert ham_dp(g) == ham_bruteforce(g)
+
+    def test_prime_pass_matches_bruteforce(self):
+        # Counts reach 6 (K4), so each of p = 2, 3, 5 reduces some of them.
+        for n in (2, 3, 4):
+            for g in all_digraphs(n):
+                want = ham_bruteforce(g)
+                for p in (2, 3, 5):
+                    assert exact._ham_dp_residue(g, p) == want % p
 
 
 class TestPermanent:
@@ -120,8 +130,38 @@ class TestPermanent:
         assert ham_dp(g) <= permanent_ryser(g)
 
     def test_size_cap(self):
-        with pytest.raises(GraphSizeError):
+        with pytest.raises(GraphSizeError, match="24"):
             permanent_ryser(build_digraph(25, []))
+
+    def test_d21_exceeds_two_to_the_64(self):
+        # perm(J - I) for n = 21 counts derangements: above 2^64, and so is
+        # K21's Bregman cap (~2^64.1), so a prime pass and CRT are needed.
+        assert permanent_ryser(gen_family("complete", 21, "symmetric-digraph")) == 18795307255050944540
+
+    @settings(max_examples=40, deadline=None)
+    @given(digraphs(max_n=6))
+    def test_prime_pass_matches_permutation_sum(self, g):
+        want = permanent_by_permutation_sum(g)
+        for p in (2, 3, 7):
+            assert exact._permanent_residue(g, p) == want % p
+
+
+class TestResidueArithmetic:
+    def test_prime_moduli(self):
+        primes = exact._PRIMES
+        assert all(p % 2 and p < 2**49 and pow(3, p - 1, p) == 1 for p in primes)
+        assert all(math.gcd(p, q) == 1 for p, q in itertools.combinations(primes, 2))
+        # The all-ones n x n matrix has the largest Bregman cap, n!.
+        assert 2**64 * math.prod(primes) > math.factorial(exact.DP_MAX_N)
+
+    @pytest.mark.parametrize("n", [16, 21])
+    def test_complete_digraph_is_exact_and_quiet(self, n):
+        g = gen_family("complete", n, "symmetric-digraph")
+        derangements = sum((-1) ** i * math.factorial(n) // math.factorial(i) for i in range(n + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ham_dp(g) == math.factorial(n - 1)
+            assert permanent_ryser(g) == derangements
 
 
 class TestContractionExpansion:
