@@ -25,15 +25,20 @@ feeding PCG64.
 
 ``trial_with_policy`` runs one trial in plain Python; it is the reference path,
 and ``enumerate_branches`` replays it.  ``estimate`` runs the trials in
-lockstep blocks instead: numpy arrays hold every trial's working state, each
-step draws for all live trials at once, and trials whose candidate set empties
-drop out of the block.  The block computes its trials' PCG64 words itself,
+lockstep blocks of ``_BLOCK`` = 1024 trials instead: numpy arrays hold every
+trial's working state, each step draws for all live trials at once, and trials
+whose candidate set empties drop out of the block.  The working rows and column
+labels are ``uint8`` (n <= 64), and so is the running count that ranks each
+trial's candidates.  The block computes its trials' PCG64 words itself,
 following numpy's SeedSequence, PCG64 and ``Generator.integers`` algorithms,
-so every trial takes exactly the value the reference path gives it and the
+and reads each ``uint64`` word as two ``uint32`` halves through a
+little-endian view, low half first on any host, as ``integers`` consumes them.
+So every trial takes exactly the value the reference path gives it and the
 report equals, byte for byte, the report of running the trials one at a time.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -43,7 +48,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import PolicyError
-from .graphs import CycleWitness, DiGraph
+from .graphs import CycleWitness, DiGraph, check_integer
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,9 @@ def trial_stream(seed: int, trial_index: int) -> np.random.Generator:
     This is the documented splittable construction:
     ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(trial_index,))))``.
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,))
+    ss = np.random.SeedSequence(
+        entropy=check_integer(seed, "seed"), spawn_key=(check_integer(trial_index, "trial index"),)
+    )
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -308,7 +315,7 @@ def enumerate_branches(g: DiGraph, policy: RowOrderPolicy) -> Iterator[tuple[Fra
 # method on the uint32 halves, low half first, of PCG64's raw outputs
 # (distributions.c) and reads nothing when ``w == 1``.
 
-_BLOCK = 256  # trials per lockstep block; keeps the (block, n) temporaries small
+_BLOCK = 1024  # trials per lockstep block; 2048 raises a process's peak RSS
 _M32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -394,10 +401,10 @@ def _stream_words(seed: int, trials: np.ndarray, count: int) -> np.ndarray:
         state.append(value)
     init_hi, init_lo, seq_hi, seq_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
     inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    zero = np.zeros_like(trials)
-    hi, lo = _mul_add128(zero, zero, inc_hi, inc_lo)
-    lo = lo + init_lo
-    hi, lo = _mul_add128(hi + init_hi + (lo < init_lo), lo, inc_hi, inc_lo)
+    del pool, state, seq_hi, seq_lo  # a block's (trials,) temporaries set its peak memory
+    # Seeding steps the LCG from state 0 (giving inc), adds initstate and steps again.
+    lo = inc_lo + init_lo
+    hi, lo = _mul_add128(inc_hi + init_hi + (lo < init_lo), lo, inc_hi, inc_lo)
     out = np.empty((len(trials), count), dtype=np.uint64)
     for j in range(count):
         hi, lo = _mul_add128(hi, lo, inc_hi, inc_lo)
@@ -416,14 +423,15 @@ def _choose(cand, u32, live, pos, widths, step):
     them, and the trials whose draw Lemire's method rejects; those are redone
     on the scalar path, which reads on in the stream.
     """
-    width = cand.sum(axis=1, dtype=np.uint64)
+    ranks = np.cumsum(cand, axis=1, dtype=np.uint8)  # at most 64 columns
+    width = ranks[:, -1]
     widths[live, step] = width
-    m = u32[live, pos] * width
+    m = np.multiply(u32[live, pos], width, dtype=np.uint64)
     rejected = (m & _M32) < _LEMIRE_THRESHOLD[width]
     pos += width > 1
     keep = (width > 0) & ~rejected
-    pick = (m[keep] >> 32).astype(np.intp)
-    chosen = np.argmax(np.cumsum(cand[keep], axis=1) > pick[:, None], axis=1)
+    pick = (m[keep] >> 32).astype(np.uint8)
+    chosen = np.argmax(ranks[keep] > pick[:, None], axis=1)
     return keep, chosen, live[rejected]
 
 
@@ -452,47 +460,53 @@ def _expand(adj: np.ndarray, order: np.ndarray, u32: np.ndarray):
     blk, n = len(u32), len(adj)
     widths = np.zeros((blk, n - 1), dtype=np.uint8)
     live, pos, redo = np.arange(blk), np.zeros(blk, dtype=np.intp), []
-    rows = np.tile(np.arange(n), (blk, 1))
+    rows = np.tile(np.arange(n, dtype=np.uint8), (blk, 1))
     labels = rows.copy()
     k = np.zeros(blk, dtype=np.intp)
+    flat = adj.ravel()  # adj[u, label] is flat[u * n + label], and u * n + label < 2**12
     for step in range(n - 1):
         at = np.arange(len(live))
         gpos = order[step, k]
-        cand = adj[rows[at, gpos][:, None], labels]
+        cand = flat.take(rows[at, gpos].astype(np.uint16)[:, None] * n + labels)
         cand[at, gpos] = False
         keep, k, rejected = _choose(cand, u32, live, pos, widths, step)
         redo += rejected.tolist()
         live, pos, rows, labels, gpos = live[keep], pos[keep], rows[keep], labels[keep], gpos[keep]
         at = np.arange(len(live))
-        labels[at, gpos], labels[at, k] = labels[at, k], labels[at, gpos]
-        rest = np.arange(n - step - 1)
-        rest = at[:, None], rest + (rest >= gpos[:, None])
-        rows, labels = rows[rest], labels[rest]
+        labels[at, k] = labels[at, gpos]  # the swap, less the half that is deleted
+        rest = np.ones(rows.shape, dtype=bool)
+        rest[at, gpos] = False
+        shape = len(live), n - step - 1
+        rows, labels = rows[rest].reshape(shape), labels[rest].reshape(shape)
     return live[adj[rows[:, 0], labels[:, 0]]], widths, redo
 
 
-def _block_values(g: DiGraph, policy: RowOrderPolicy, seed: int, trials: np.ndarray) -> list[int]:
+def _block_values(g: DiGraph, policy: RowOrderPolicy, seed: int, trials: range) -> Iterator[int]:
     """``trial_with_policy(g, policy, trial_stream(seed, t)).value`` for each t, in lockstep.
 
-    Each draw with two or more candidates reads the trial's next uint32, and
-    draws happen at steps 0..n-2, so every read falls in the first n - 1
-    uint32s: the first n // 2 raw words.  A rejected draw would read on; the
-    trial is redone on the scalar path instead.
+    Trial ``t`` runs in block ``t // _BLOCK``.  Each draw with two or more
+    candidates reads the trial's next uint32, and draws happen at steps
+    0..n-2, so every read falls in the first n - 1 uint32s: the first n // 2
+    raw words.  A rejected draw would read on; the trial is redone on the
+    scalar path instead.
     """
-    raw = _stream_words(seed, trials, g.n // 2)
-    u32 = np.stack([raw & _M32, raw >> 32], axis=2).reshape(len(trials), -1)
     adj = np.array(g.matrix(), dtype=bool)
     if policy.kind == "follow-path":
-        hits, widths, redo = _walk(adj, policy.start - 1, u32)
+        kernel = functools.partial(_walk, adj, policy.start - 1)
     else:
-        order = np.array(policy.table or [[1] * g.n] * g.n, dtype=np.intp) - 1
-        hits, widths, redo = _expand(adj, order, u32)
-    values = [0] * len(trials)
-    for b in hits.tolist():
-        values[b] = math.prod(widths[b].tolist())
-    for b in redo:
-        values[b] = trial_with_policy(g, policy, trial_stream(seed, int(trials[b]))).value
-    return values
+        order = np.array(policy.table or [[1] * g.n] * g.n, dtype=np.uint8) - 1
+        kernel = functools.partial(_expand, adj, order)
+    bounds = range((trials.start // _BLOCK + 1) * _BLOCK, trials.stop, _BLOCK)
+    cuts = [trials.start, *bounds, trials.stop]
+    for first, stop in zip(cuts, cuts[1:]):
+        raw = _stream_words(seed, np.arange(first, stop, dtype=np.uint64), g.n // 2)
+        hits, widths, redo = kernel(raw.astype("<u8", copy=False).view("<u4"))
+        values = [0] * (stop - first)
+        for b in hits.tolist():
+            values[b] = math.prod(widths[b].tolist())
+        for b in redo:
+            values[b] = trial_with_policy(g, policy, trial_stream(seed, first + b)).value
+        yield from values
 
 
 def estimate(g: DiGraph, policy: RowOrderPolicy, trials: int, seed: int) -> EstimateReport:
@@ -503,21 +517,17 @@ def estimate(g: DiGraph, policy: RowOrderPolicy, trials: int, seed: int) -> Esti
     (graph, policy, trials, seed), and its first ``k`` trials are those of
     ``estimate(g, policy, k, seed)``.
     """
-    if not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    check_integer(trials, "trials", 1)
+    check_integer(seed, "seed")
     _check_policy(g, policy)
     total = 0
     total_sq = 0
     zeros = 0
-    for first in range(0, trials, _BLOCK):
-        block = np.arange(first, min(first + _BLOCK, trials), dtype=np.uint64)
-        for value in _block_values(g, policy, seed, block):
-            total += value
-            total_sq += value * value
-            if value == 0:
-                zeros += 1
+    for value in _block_values(g, policy, seed, range(trials)):
+        total += value
+        total_sq += value * value
+        if value == 0:
+            zeros += 1
     mean = Fraction(total, trials)
     if trials > 1:
         variance = (Fraction(total_sq) - Fraction(total * total, trials)) / (trials - 1)

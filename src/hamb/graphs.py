@@ -42,10 +42,7 @@ def max_vertices() -> int:
 
 
 def _check_vertex_count(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"vertex count must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
+    check_integer(n, "vertex count", 1)
     cap = max_vertices()
     if n > cap:
         note = "" if cap == HARD_MAX_N else f" (lowered by {MAX_N_ENV})"
@@ -272,7 +269,7 @@ def gen_gnp(n: int, p: float, seed: int, kind: str = "undirected") -> DiGraph | 
         raise ValueError(f"p must be in [0, 1], got {p}")
     if kind not in GRAPH_KINDS:
         raise ValueError(f"kind must be one of {GRAPH_KINDS}, got {kind!r}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=_check_seed(seed))))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=check_integer(seed, "seed"))))
     if kind == "digraph":
         edges = [
             (u + 1, v + 1)
@@ -312,7 +309,8 @@ def gen_family(name: str, n: int, kind: str = "undirected") -> DiGraph | UndiGra
     return g if kind == "undirected" else to_symmetric_digraph(g)
 
 
-def _check_seed(seed: int) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
+def check_integer(value: int, name: str, low: int = 0) -> int:
+    """``value`` if it is an int (a bool is not) of at least ``low``, else ValueError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value

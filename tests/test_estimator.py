@@ -194,8 +194,20 @@ class TestEstimate:
 
     def test_trials_must_be_positive(self):
         g = gen_family("cycle", 3, "symmetric-digraph")
-        with pytest.raises(ValueError):
-            estimate(g, RowOrderPolicy.ascending(), 0, 0)
+        for trials in (0, -3, True, 2.0):
+            with pytest.raises(ValueError, match="trials"):
+                estimate(g, RowOrderPolicy.ascending(), trials, 0)
+
+    def test_seed_must_be_non_negative(self):
+        g = gen_family("cycle", 3, "symmetric-digraph")
+        for seed in (-1, True, False, 1.0):
+            with pytest.raises(ValueError, match="seed"):
+                estimate(g, RowOrderPolicy.ascending(), 5, seed)
+
+    def test_trial_stream_rejects_bools_and_negatives(self):
+        for seed, t in ((True, 0), (0, True), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                trial_stream(seed, t)
 
     def test_statistical_agreement_with_exact_count(self):
         g = gen_gnp(8, 0.6, 101, "symmetric-digraph")
@@ -217,8 +229,8 @@ def _policies(n: int, seed: int) -> list[RowOrderPolicy]:
     ]
 
 
-def _scalar_values(g, policy, seed, trials: np.ndarray) -> list[int]:
-    return [trial_with_policy(g, policy, trial_stream(seed, t)).value for t in trials.tolist()]
+def _scalar_values(g, policy, seed, trials: range) -> list[int]:
+    return [trial_with_policy(g, policy, trial_stream(seed, t)).value for t in trials]
 
 
 LOCKSTEP_SEEDS = (0, 5, 3001, 2**40 + 7, 12 * 10**21)
@@ -228,21 +240,34 @@ class TestLockstep:
     """The lockstep kernel behind ``estimate`` against the scalar reference path."""
 
     def test_every_digraph_up_to_four_vertices(self):
-        trials = np.arange(8, dtype=np.uint64)
+        trials = range(8)
         for n in range(1, 5):
             for i, g in enumerate(all_digraphs(n)):
                 seed = LOCKSTEP_SEEDS[i % len(LOCKSTEP_SEEDS)]
                 for policy in _policies(n, i):
-                    got = estimator._block_values(g, policy, seed, trials)
+                    got = list(estimator._block_values(g, policy, seed, trials))
                     assert got == _scalar_values(g, policy, seed, trials), (g, policy, seed)
 
     @settings(max_examples=60, deadline=None)
     @given(digraphs(max_n=7), st.sampled_from(LOCKSTEP_SEEDS), st.integers(0, 2**32 - 100))
     def test_hypothesis_digraphs(self, g, seed, first):
-        trials = np.arange(first, first + 40, dtype=np.uint64)
+        trials = range(first, first + 40)
         for policy in _policies(g.n, seed + first):
-            got = estimator._block_values(g, policy, seed, trials)
+            got = list(estimator._block_values(g, policy, seed, trials))
             assert got == _scalar_values(g, policy, seed, trials)
+
+    @pytest.mark.parametrize("g", [
+        gen_family("complete", 64, "digraph"),
+        gen_gnp(64, 0.5, 11, "symmetric-digraph"),
+    ], ids=["complete", "gnp"])
+    def test_vertex_cap(self, g):
+        # Up to 63 candidates per draw: the widest uint8 labels, ranks and
+        # widths, and all 63 uint32 words of a trial's stream.
+        trials = range(estimator._BLOCK - 64, estimator._BLOCK + 64)
+        for policy in _policies(64, 17):
+            got = list(estimator._block_values(g, policy, 2**40 + 7, trials))
+            assert got == _scalar_values(g, policy, 2**40 + 7, trials), policy.kind
+            assert any(got), policy.kind
 
     @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 12 * 10**21, 2**130 + 3])
     def test_stream_words_match_numpy(self, seed):
@@ -259,7 +284,7 @@ class TestLockstep:
         g = gen_gnp(8, 0.7, 3, "symmetric-digraph")
         assert bin(g.rows[0]).count("1") == 6
         policy = RowOrderPolicy.follow_path(1)
-        want = _scalar_values(g, policy, 9, np.arange(600))
+        want = _scalar_values(g, policy, 9, range(600))
         real_words = estimator._stream_words
         replayed = []
 

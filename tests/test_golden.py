@@ -47,6 +47,28 @@ CASES = {
         "estimate", "--input", "undirected.txt", "--trials", "700", "--seed", "12",
         "--policy", "table:table11.txt", "--json",
     ),
+    "estimate-ascending-undirected-2600.txt": (
+        "estimate", "--input", "undirected.txt", "--trials", "2600", "--seed", "41",
+    ),
+    "estimate-ascending-directed-5000.json": (
+        "estimate", "--input", "directed.txt", "--trials", "5000", "--seed", str(2**40 + 7), "--json",
+    ),
+    "estimate-follow-path-directed-2600.json": (
+        "estimate", "--input", "directed.txt", "--trials", "2600", "--seed", "8",
+        "--policy", "follow-path:7", "--json",
+    ),
+    "estimate-follow-path-undirected-5000.txt": (
+        "estimate", "--input", "undirected.txt", "--trials", "5000", "--seed", "2026",
+        "--policy", "follow-path:1",
+    ),
+    "estimate-table-directed-5000.txt": (
+        "estimate", "--input", "directed.txt", "--trials", "5000", "--seed", "19",
+        "--policy", "table:table11.txt",
+    ),
+    "estimate-table-undirected-2600.json": (
+        "estimate", "--input", "undirected.txt", "--trials", "2600", "--seed", str(12 * 10**21),
+        "--policy", "table:table11.txt", "--json",
+    ),
     "exact-dp-directed.txt": ("exact", "--input", "directed.txt", "--method", "dp"),
     "exact-dp-undirected.json": ("exact", "--input", "undirected.txt", "--method", "dp", "--json"),
     "exact-brute-directed.json": ("exact", "--input", "small-directed.txt", "--method", "brute", "--json"),

@@ -162,8 +162,9 @@ class TestGenerators:
             gen_gnp(4, 1.5, 0)
 
     def test_gnp_bad_seed(self):
-        with pytest.raises(ValueError):
-            gen_gnp(4, 0.5, -1)
+        for seed in (-1, True):
+            with pytest.raises(ValueError, match="seed"):
+                gen_gnp(4, 0.5, seed)
 
     def test_family_cycle(self):
         g = gen_family("cycle", 5, "undirected")
