@@ -7,7 +7,14 @@ subset dynamic program; both take any ``ContractedMatrix``, of which a
 entries can only matter for a 1x1 matrix, since a cycle product never repeats
 an index).
 
-``ham_dp`` and ``permanent_ryser`` are numpy kernels in fixed-width integers.
+Up to n = ``SMALL_N`` (12), ``ham_dp`` and ``permanent_ryser`` run in plain
+Python, which at that size costs less than importing numpy.  The dynamic
+program keeps, for each endpoint, one Python integer whose fixed-width lanes
+are the path counts of every subset, so one integer addition updates all
+subsets at once; the permanent is Ryser's formula, subset by subset, on the
+bit rows.  Both compute in exact integers.
+
+Above ``SMALL_N`` they are numpy kernels in fixed-width integers.
 The dynamic program fills one popcount layer of (subset, endpoint) states at a
 time by adding the rows of each endpoint's in-neighbours; the permanent is
 Ryser's inclusion-exclusion over column subsets, taken a chunk of subsets at a
@@ -28,27 +35,28 @@ the cycle count for any valid row-order policy.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Callable, Iterator
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bounds import bregman_bound
 from .errors import GraphSizeError
-from .estimator import RowOrderPolicy, enumerate_branches
 from .graphs import Adjacency, DiGraph, UndiGraph, row_sums, to_symmetric_digraph
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .estimator import RowOrderPolicy
 
 BRUTE_MAX_N = 10
 DP_MAX_N = 24
 EXPECTATION_MAX_N = 8
+# ham_dp and permanent_ryser run in plain Python up to this n.
+SMALL_N = 12
 # Primes below 2^49 for the residue passes past 2^64.
 _PRIMES = (2**49 - 81, 2**49 - 111)
-# ham_dp keeps the layer masks of k = n - 1 <= _CACHED_K (2^k * k bytes each),
-# which would otherwise dominate small calls.
-_CACHED_K = 12
 # permanent_ryser takes 2^_CHUNK_BITS column subsets per chunk.
 _CHUNK_BITS = 13
 
@@ -92,6 +100,8 @@ def ham_dp(m: Adjacency) -> int:
         raise GraphSizeError(f"ham_dp supports n <= {DP_MAX_N} (2^n subset states); got n={n}")
     if n == 1:
         return m.rows[0] & 1
+    if n <= SMALL_N:
+        return _ham_dp_small(m)
     return _from_residues(m, _ham_dp_residue)
 
 
@@ -105,7 +115,48 @@ def permanent_ryser(m: Adjacency) -> int:
     n = m.n
     if n > DP_MAX_N:
         raise GraphSizeError(f"permanent_ryser supports n <= {DP_MAX_N} (2^n subsets); got n={n}")
+    if n <= SMALL_N:
+        return _permanent_small(m)
     return _from_residues(m, _permanent_residue)
+
+
+def _ham_dp_small(m: Adjacency) -> int:
+    """``ham_dp`` for 2 <= n <= ``SMALL_N``, in Python integers.
+
+    Vertex 1 is the start, and vertices 2..n are bits 0..k-1 of a subset S.
+    ``f[w]`` holds, in lane S, the paths from vertex 1 through exactly S that
+    end at w.  The paths that extend to w from every S without w are the sum
+    of ``f[v]`` over w's in-neighbours v, masked to the lanes without w and
+    shifted up 2^w lanes, from S to S + {w}.  A lane holds k!, which bounds
+    every lane of that sum (at most |S|! paths run through S), so no lane
+    carries into the next.  Pass i fixes the subsets of i + 1 vertices.
+    """
+    rows, k = m.rows, m.n - 1
+    width = math.factorial(k).bit_length() // 8 + 1
+    bits = 8 * width
+    # Lane S of without[w] is all ones iff w is not in S: runs of 2^w lanes.
+    without = [int.from_bytes((b"\xff" * (width << w) + bytes(width << w)) * (1 << k - w - 1), "little")
+               for w in range(k)]
+    preds = [[v for v in range(k) if rows[v + 1] >> w + 1 & 1] for w in range(k)]
+    start = [(rows[0] >> w + 1 & 1) << (bits << w) for w in range(k)]
+    f = start
+    for _ in range(k - 1):
+        f = [start[w] + ((sum(f[v] for v in preds[w]) & without[w]) << (bits << w)) for w in range(k)]
+    return sum(f[v] >> bits * ((1 << k) - 1) for v in range(k) if rows[v + 1] & 1)
+
+
+def _permanent_small(m: Adjacency) -> int:
+    """``permanent_ryser`` for n <= ``SMALL_N``: Ryser's formula in Python integers."""
+    n = m.n
+    total = 0
+    for s in range(1, 1 << n):
+        prod = 1
+        for row in m.rows:
+            prod *= (row & s).bit_count()
+            if not prod:
+                break
+        total += -prod if (n - s.bit_count()) & 1 else prod
+    return total
 
 
 def _from_residues(m: Adjacency, residue: Callable[[Adjacency, int], int]) -> int:
@@ -139,11 +190,13 @@ def _ham_dp_residue(m: Adjacency, p: int) -> int:
     subsets that hold it keeps their order, so the layers' bit masks say
     where every sum goes.  Only two layers are alive at a time.
     """
+    import numpy as np
+
     rows = m.rows
     k = m.n - 1
     preds = [[v for v in range(k) if rows[v + 1] >> w + 1 & 1] for w in range(k)]
     prev = np.diag(np.array([rows[0] >> w + 1 & 1 for w in range(k)], dtype=np.uint64))
-    layers = iter(_small_layer_bits(k) if k <= _CACHED_K else _layer_bits(k))
+    layers = _layer_bits(k)
     lower = next(layers)
     for bits in layers:
         sums = np.zeros_like(prev)
@@ -165,6 +218,8 @@ def _permanent_residue(m: Adjacency, p: int) -> int:
     The low ``b`` columns' subsets are sorted even-popcount first, so a
     chunk's signed sum is the difference of two slice sums.
     """
+    import numpy as np
+
     a = np.array(m.matrix(), dtype=np.uint64)
     n = m.n
     b = min(n, _CHUNK_BITS)
@@ -190,12 +245,16 @@ def _permanent_residue(m: Adjacency, p: int) -> int:
 
 def _subset_bits(k: int) -> np.ndarray:
     """Row s holds the k bits of s, as 0/1 uint64 (a 1 x 0 array for k = 0)."""
+    import numpy as np
+
     return (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(np.uint64)
 
 
 def _layer_bits(k: int) -> Iterator[np.ndarray]:
     """For each subset size L >= 1, a k x C(k, L) boolean array whose column
     j holds the bits of the j-th L-subset of k elements in ascending order."""
+    import numpy as np
+
     counts = np.zeros(1 << k, dtype=np.int8)
     masks = np.arange(1 << k)
     for j in range(k):
@@ -209,14 +268,6 @@ def _layer_bits(k: int) -> Iterator[np.ndarray]:
         for j in range(k):
             bits[j] = layer >> j & 1
         yield bits
-
-
-@functools.lru_cache(maxsize=None)
-def _small_layer_bits(k: int) -> tuple[np.ndarray, ...]:
-    layers = tuple(_layer_bits(k))
-    for bits in layers:
-        bits.flags.writeable = False
-    return layers
 
 
 def ham_undirected(g: UndiGraph, method: str = "dp") -> int:
@@ -246,6 +297,8 @@ def estimator_expectation(g: DiGraph, policy: RowOrderPolicy) -> Fraction:
         raise GraphSizeError(
             f"estimator_expectation supports n <= {EXPECTATION_MAX_N} (decision-tree enumeration); got n={g.n}"
         )
+    from .estimator import enumerate_branches
+
     total = Fraction(0)
     for prob, outcome in enumerate_branches(g, policy):
         if outcome.value:

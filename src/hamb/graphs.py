@@ -16,8 +16,6 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import GraphSizeError
 
 HARD_MAX_N = 64
@@ -269,6 +267,8 @@ def gen_gnp(n: int, p: float, seed: int, kind: str = "undirected") -> DiGraph | 
         raise ValueError(f"p must be in [0, 1], got {p}")
     if kind not in GRAPH_KINDS:
         raise ValueError(f"kind must be one of {GRAPH_KINDS}, got {kind!r}")
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=check_integer(seed, "seed"))))
     if kind == "digraph":
         edges = [

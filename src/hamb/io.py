@@ -12,10 +12,13 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import GraphSizeError, ParseError, PolicyError
-from .estimator import RowOrderPolicy
 from .graphs import DiGraph, UndiGraph, build_digraph, build_undigraph, max_vertices
+
+if TYPE_CHECKING:
+    from .estimator import RowOrderPolicy
 
 
 def parse_graph(text: str, fmt: str | None = None) -> DiGraph | UndiGraph:
@@ -139,6 +142,8 @@ def serialize_graph(g: DiGraph | UndiGraph, fmt: str = "text") -> str:
 
 def load_table_policy(path: str) -> RowOrderPolicy:
     """Read a table-policy file; :class:`RowOrderPolicy` checks its shape."""
+    from .estimator import RowOrderPolicy
+
     try:
         text = Path(path).read_text()
     except OSError as e:

@@ -16,12 +16,15 @@ from hamb import DiGraph, UndiGraph, build_undigraph  # noqa: E402
 from hamb.selftest import all_digraphs, all_undigraphs  # noqa: E402,F401
 
 
-def run_cli(*args: str, env_extra: dict[str, str] | None = None, cwd=None) -> subprocess.CompletedProcess:
+def run_cli(
+    *args: str, env_extra: dict[str, str] | None = None, cwd=None, entry: tuple[str, ...] = ("-m", "hamb")
+) -> subprocess.CompletedProcess:
+    """Run ``python -m hamb *args`` in a child process; ``entry`` replaces ``-m hamb``."""
     env = os.environ.copy()
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env.update(env_extra or {})
     return subprocess.run(
-        [sys.executable, "-m", "hamb", *args],
+        [sys.executable, *entry, *args],
         capture_output=True,
         text=True,
         env=env,

@@ -324,3 +324,56 @@ class TestSelftestCommand:
         res = run_cli("selftest", "--corrupt-diagonal")
         assert res.returncode == 4
         assert "graph-invariants: FAIL" in res.stdout
+
+
+# ``python -m hamb`` as ``-m`` runs it, then whether numpy was imported, as
+# the last stdout line at exit.
+_REPORT_NUMPY = (
+    "import atexit, runpy, sys; atexit.register(lambda: print('numpy' in sys.modules)); "
+    "runpy.run_module('hamb', run_name='__main__', alter_sys=True)"
+)
+
+
+class TestLazyImports:
+    @pytest.mark.parametrize(
+        "argv, loads_numpy",
+        [
+            (("bounds", "--input", "triangle.txt"), False),
+            (("bounds", "--input", "n20.txt"), False),
+            (("exact", "--method", "brute", "--input", "d8.txt"), False),
+            (("exact", "--method", "dp", "--input", "k12.txt"), False),
+            (("exact", "--method", "permanent", "--input", "k12.txt"), False),
+            (("exact", "--method", "dp", "--input", "k13.txt"), True),
+            (("gen", "--model", "complete", "--n", "12", "--out", "out.txt"), False),
+            (("estimate", "--trials", "5", "--input", "triangle.txt"), True),
+        ],
+    )
+    def test_numpy_loads_only_for_numpy_work(self, tmp_path, argv, loads_numpy):
+        graphs = {
+            "triangle.txt": gen_family("cycle", 3, "undirected"),
+            "n20.txt": gen_gnp(20, 0.3, 1, "undirected"),
+            "d8.txt": gen_gnp(8, 0.5, 2, "digraph"),
+            "k12.txt": gen_family("complete", 12, "digraph"),
+            "k13.txt": gen_family("complete", 13, "digraph"),
+        }
+        for name, g in graphs.items():
+            (tmp_path / name).write_text(serialize_graph(g))
+        res = run_cli(*argv, cwd=tmp_path, entry=("-c", _REPORT_NUMPY))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == str(loads_numpy)
+        assert res.stderr.splitlines()[-1].startswith("elapsed-ms: ")
+
+    def test_every_public_name_resolves(self):
+        import hamb
+
+        namespace: dict = {}
+        exec("from hamb import *", namespace)
+        for name in hamb.__all__:
+            assert getattr(hamb, name) is namespace[name]
+        assert set(hamb.__all__) <= set(dir(hamb))
+
+    def test_unknown_attribute_raises(self):
+        import hamb
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            hamb.no_such_name  # noqa: B018

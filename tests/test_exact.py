@@ -89,9 +89,12 @@ class TestHamDp:
             ham_dp(build_digraph(25, []))
 
     def test_matches_bruteforce_exhaustively_to_n4(self):
+        # ham_dp takes the pure path here; the second leg runs the numpy kernel.
         for n in (1, 2, 3, 4):
             for g in all_digraphs(n):
-                assert ham_dp(g) == ham_bruteforce(g)
+                want = ham_bruteforce(g)
+                assert ham_dp(g) == want
+                assert n == 1 or exact._from_residues(g, exact._ham_dp_residue) == want
 
     @settings(max_examples=60, deadline=None)
     @given(digraphs(max_n=7))
@@ -108,6 +111,14 @@ class TestHamDp:
 
 
 class TestPermanent:
+    def test_matches_permutation_sum_exhaustively_to_n4(self):
+        # permanent_ryser takes the pure path here; the second leg runs the numpy kernel.
+        for n in (1, 2, 3, 4):
+            for g in all_digraphs(n):
+                want = permanent_by_permutation_sum(g)
+                assert permanent_ryser(g) == want
+                assert exact._from_residues(g, exact._permanent_residue) == want
+
     def test_all_ones_3x3(self):
         assert permanent_ryser(ContractedMatrix(3, (0b111,) * 3)) == 6
 
@@ -144,6 +155,23 @@ class TestPermanent:
         want = permanent_by_permutation_sum(g)
         for p in (2, 3, 7):
             assert exact._permanent_residue(g, p) == want % p
+
+
+class TestSmallCounters:
+    """The pure-Python counters (n <= SMALL_N) against the numpy kernels."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(digraphs(min_n=5, max_n=12))
+    def test_pure_equals_numpy_kernel(self, g):
+        assert exact._ham_dp_small(g) == exact._from_residues(g, exact._ham_dp_residue)
+        assert exact._permanent_small(g) == exact._from_residues(g, exact._permanent_residue)
+
+    @pytest.mark.parametrize("n", range(exact.SMALL_N - 1, exact.SMALL_N + 3))
+    def test_complete_digraph_on_both_paths(self, n):
+        g = gen_family("complete", n, "symmetric-digraph")
+        derangements = sum((-1) ** i * math.factorial(n) // math.factorial(i) for i in range(n + 1))
+        assert exact._ham_dp_small(g) == exact._from_residues(g, exact._ham_dp_residue) == math.factorial(n - 1)
+        assert exact._permanent_small(g) == exact._from_residues(g, exact._permanent_residue) == derangements
 
 
 class TestResidueArithmetic:
