@@ -16,8 +16,11 @@ bit rows.  Both compute in exact integers.
 
 Above ``SMALL_N`` they are numpy kernels in fixed-width integers.
 The dynamic program fills one popcount layer of (subset, endpoint) states at a
-time by adding the rows of each endpoint's in-neighbours; the permanent is
-Ryser's inclusion-exclusion over column subsets, taken a chunk of subsets at a
+time, and stores for each endpoint only the subsets that contain it, so no
+state is a structural zero: half the entries of a full endpoint-by-subset
+table.  It builds the next layer a chunk of subsets at a time by adding the
+rows of each endpoint's in-neighbours; the permanent is Ryser's
+inclusion-exclusion over column subsets, also taken a chunk of subsets at a
 time.  Both run once in wrapping ``uint64`` arithmetic, which yields the
 result modulo 2^64.  A Hamiltonian cycle is a permutation, so
 count <= permanent <= the Bregman bound of :mod:`hamb.bounds`, and whenever
@@ -59,6 +62,8 @@ SMALL_N = 12
 _PRIMES = (2**49 - 81, 2**49 - 111)
 # permanent_ryser takes 2^_CHUNK_BITS column subsets per chunk.
 _CHUNK_BITS = 13
+# ham_dp takes this many subsets of a layer per chunk.
+_LAYER_CHUNK = 4096
 
 
 def ham_bruteforce(m: Adjacency) -> int:
@@ -110,7 +115,7 @@ def permanent_ryser(m: Adjacency) -> int:
 
     Each chunk fixes the high columns of a subset and takes every set of
     low columns at once, so the per-row sums are a precomputed low table
-    plus one high row.  Limited to n <= 24.
+    plus one column of a high table.  Limited to n <= 24.
     """
     n = m.n
     if n > DP_MAX_N:
@@ -181,93 +186,127 @@ def _from_residues(m: Adjacency, residue: Callable[[Adjacency, int], int]) -> in
 def _ham_dp_residue(m: Adjacency, p: int) -> int:
     """Hamiltonian cycles of ``m`` (n >= 2) modulo p, or modulo 2^64 if p = 0.
 
-    Vertex 1 is the start.  The table for popcount layer L has one row per
-    endpoint w in 2..n and one column per L-subset of 2..n in ascending
-    order; entry (w, S) counts the paths from vertex 1 through exactly S
-    that end at w.  Adding the rows of w's in-neighbours gives, for every
-    (L-1)-subset T, the paths that extend to w; those with w outside T fill
-    the columns of the L-subsets S = T + {w}.  Dropping bit w from the
-    subsets that hold it keeps their order, so the layers' bit masks say
-    where every sum goes.  Only two layers are alive at a time.
+    The last layer of ``_ham_dp_layers`` holds, for each endpoint w, the paths
+    from vertex 1 through every other vertex that end at w; those whose w has
+    the arc back to vertex 1 close into cycles.
+    """
+    rows = m.rows
+    for layer in _ham_dp_layers(m, p):
+        pass
+    return sum(int(layer[v, 0]) for v in range(m.n - 1) if rows[v + 1] & 1) % (p or 1 << 64)
+
+
+def _ham_dp_layers(m: Adjacency, p: int) -> Iterator[np.ndarray]:
+    """The popcount layers L = 1..n-1 of the subset DP, modulo p (2^64 if 0).
+
+    Vertex 1 is the start, and vertices 2..n are bits 0..k-1 of a subset.
+    Layer L is a k x C(k-1, L-1) table: row w has one entry per L-subset S
+    that contains w, in ascending order of S, and counts the paths from
+    vertex 1 through exactly S that end at w.  Layer L comes from layer L-1 a
+    chunk of the (L-1)-subsets T at a time, in ascending order:
+
+    - expand: row v's entries for the chunk's T that hold v are the next ones
+      in that row, so they spread into a k x chunk block, zero elsewhere;
+    - add: the rows of w's in-neighbours sum to the paths that extend to w
+      from each T, reduced modulo p;
+    - compress: T -> T + {w} keeps the order of the T without w, so their
+      sums are the next entries of row w of layer L.
+
+    Only two layers and one chunk are alive at a time.
     """
     import numpy as np
 
     rows = m.rows
     k = m.n - 1
     preds = [[v for v in range(k) if rows[v + 1] >> w + 1 & 1] for w in range(k)]
-    prev = np.diag(np.array([rows[0] >> w + 1 & 1 for w in range(k)], dtype=np.uint64))
-    layers = _layer_bits(k)
-    lower = next(layers)
-    for bits in layers:
-        sums = np.zeros_like(prev)
-        for row, vs in zip(sums, preds):
-            for v in vs:
-                row += prev[v]
-        if p:
-            sums %= np.uint64(p)
-        prev = np.zeros(bits.shape, dtype=np.uint64)
-        prev[bits] = sums[~lower]
-        lower = bits
-    return sum(int(prev[v, 0]) for v in range(k) if rows[v + 1] & 1) % (p or 1 << 64)
+    layer = np.array([[rows[0] >> w + 1 & 1] for w in range(k)], dtype=np.uint64)
+    yield layer
+    weights = (1 << np.arange(k, dtype=np.int32))[:, None]
+    for size, subsets in zip(range(2, k + 1), _layer_masks(k)):
+        nxt = np.empty((k, math.comb(k - 1, size - 1)), dtype=np.uint64)
+        # Of the first `start` T, taken[v] hold v (read from row v of layer
+        # L-1) and the other start - taken[v] filled row v of layer L.
+        taken = [0] * k
+        for start in range(0, len(subsets), _LAYER_CHUNK):
+            bits = (subsets[start:start + _LAYER_CHUNK] & weights).astype(bool)
+            width = bits.shape[1]
+            counts = np.count_nonzero(bits, axis=1).tolist()
+            block = np.zeros(bits.shape, dtype=np.uint64)
+            block[bits] = np.concatenate([layer[v, taken[v]:taken[v] + c] for v, c in enumerate(counts)])
+            sums = np.zeros_like(block)
+            for row, vs in zip(sums, preds):
+                for v in vs:
+                    row += block[v]
+            if p:
+                sums %= np.uint64(p)
+            kept, done = sums[~bits], 0
+            for w, c in enumerate(counts):
+                put, rest = start - taken[w], width - c
+                nxt[w, put:put + rest] = kept[done:done + rest]
+                taken[w] += c
+                done += rest
+        layer = nxt
+        yield layer
 
 
 def _permanent_residue(m: Adjacency, p: int) -> int:
     """Ryser's formula for the permanent modulo p, or modulo 2^64 if p = 0.
 
     perm = sum over column sets S of (-1)^(n-|S|) prod_i (row i's sum over S).
-    The low ``b`` columns' subsets are sorted even-popcount first, so a
-    chunk's signed sum is the difference of two slice sums.
+    Each chunk fixes the subset h of the high columns and takes every subset
+    of the low ``b`` columns at once.  Both tables list even-popcount subsets
+    first, so a chunk's signed sum is the difference of two slice sums.
     """
     import numpy as np
 
     a = np.array(m.matrix(), dtype=np.uint64)
     n = m.n
     b = min(n, _CHUNK_BITS)
-    low_bits = _subset_bits(b)
-    parity = low_bits.sum(axis=1) & np.uint64(1)
-    low = a[:, :b] @ low_bits[np.argsort(parity, kind="stable")].T
-    high_bits = _subset_bits(n - b)
-    high = high_bits @ a[:, b:].T
-    signs = (n - high_bits.sum(axis=1).astype(np.int64)) % 2
+    low = _subset_sums(a[:, :b])
+    high = _subset_sums(a[:, b:])
     half = 1 << (b - 1)
+    odd_from = max(high.shape[1] // 2, 1)
     total = 0
-    for h in range(len(high)):
-        sums = low + high[h][:, None]
-        prod = sums[0]
-        for row in sums[1:]:
-            prod *= row
+    for h in range(high.shape[1]):
+        prod = low[0] + high[0, h]
+        for i in range(1, n):
+            prod *= low[i] + high[i, h]
             if p:
                 prod %= np.uint64(p)
         diff = int(prod[:half].sum()) - int(prod[half:].sum())
-        total += -diff if signs[h] else diff
+        total += -diff if (n + (h >= odd_from)) & 1 else diff
     return total % (p or 1 << 64)
 
 
-def _subset_bits(k: int) -> np.ndarray:
-    """Row s holds the k bits of s, as 0/1 uint64 (a 1 x 0 array for k = 0)."""
+def _subset_sums(cols: np.ndarray) -> np.ndarray:
+    """Each row's sums over every subset of the columns of ``cols``: the
+    even-size subsets in ascending order, then the odd-size ones.  Adding
+    column j to the subsets of the columns below j flips their parity and
+    keeps them above those subsets, so both halves double in place."""
     import numpy as np
 
-    return (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(np.uint64)
+    n, c = cols.shape
+    sums = np.zeros((n, 1 << c), dtype=np.uint64)
+    if c:
+        even, odd = np.split(sums, 2, axis=1)
+        odd[:, 0] = cols[:, 0]
+        for j in range(1, c):
+            size = 1 << (j - 1)
+            np.add(odd[:, :size], cols[:, j:j + 1], out=even[:, size:2 * size])
+            np.add(even[:, :size], cols[:, j:j + 1], out=odd[:, size:2 * size])
+    return sums
 
 
-def _layer_bits(k: int) -> Iterator[np.ndarray]:
-    """For each subset size L >= 1, a k x C(k, L) boolean array whose column
-    j holds the bits of the j-th L-subset of k elements in ascending order."""
+def _layer_masks(k: int) -> Iterator[np.ndarray]:
+    """For each subset size L >= 1, the L-subsets of k elements as ascending
+    int32 bit masks.  Those with top element t are bit t plus the
+    (L-1)-subsets below t, the first C(t, L-1) masks of the layer before."""
     import numpy as np
 
-    counts = np.zeros(1 << k, dtype=np.int8)
-    masks = np.arange(1 << k)
-    for j in range(k):
-        counts += (masks >> j & 1).astype(np.int8)
-    order = np.argsort(counts, kind="stable")
-    del masks, counts
-    ends = list(itertools.accumulate(math.comb(k, size) for size in range(k + 1)))
-    for start, stop in zip(ends, ends[1:]):
-        layer = order[start:stop]
-        bits = np.empty((k, len(layer)), dtype=bool)
-        for j in range(k):
-            bits[j] = layer >> j & 1
-        yield bits
+    layer = np.zeros(1, dtype=np.int32)
+    for size in range(1, k + 1):
+        layer = np.concatenate([layer[:math.comb(top, size - 1)] | np.int32(1 << top) for top in range(size - 1, k)])
+        yield layer
 
 
 def ham_undirected(g: UndiGraph, method: str = "dp") -> int:

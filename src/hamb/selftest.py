@@ -91,6 +91,12 @@ def _suite_graph_invariants(fault: DiGraph | None) -> tuple[bool, str]:
 
 
 def _suite_oracle_agreement() -> tuple[bool, str]:
+    # Past SMALL_N: the numpy kernels against the pure-Python counters.
+    g = gen_gnp(13, 0.5, 13, kind="digraph")
+    for residue, small in ((exact._ham_dp_residue, exact._ham_dp_small),
+                           (exact._permanent_residue, exact._permanent_small)):
+        if exact._from_residues(g, residue) != small(g):
+            return False, f"numpy kernel/pure mismatch on {g!r}"
     checked = 0
     for g in all_digraphs(4):
         if exact.ham_dp(g) != exact.ham_bruteforce(g):

@@ -109,6 +109,44 @@ class TestHamDp:
                 for p in (2, 3, 5):
                     assert exact._ham_dp_residue(g, p) == want % p
 
+    def test_prime_pass_reduces_every_layer(self):
+        # Unreduced, this graph's layer entries pass 5 from L = 5 and 101 from L = 8.
+        g = gen_gnp(14, 0.5, 3, "digraph")
+        want = ham_dp(g)
+        k = g.n - 1
+        for p in (5, 101):
+            layers = 0
+            for size, layer in enumerate(exact._ham_dp_layers(g, p), 1):
+                assert layer.shape == (k, math.comb(k - 1, size - 1))
+                assert int(layer.max()) < p
+                layers += 1
+            assert layers == k
+            assert exact._ham_dp_residue(g, p) == want % p
+
+    def test_layers_count_paths(self):
+        # Row w of layer L: the paths from vertex 1 through exactly S that end
+        # at w, for each L-subset S of vertices 2..n holding w, S ascending.
+        g = gen_gnp(7, 0.6, 4, "digraph")
+        k = g.n - 1
+
+        def paths(s, w):
+            inner = [v for v in range(k) if s >> v & 1 and v != w]
+            total = 0
+            for order in itertools.permutations(inner):
+                walk = (-1, *order, w)
+                total += all(g.rows[a + 1] >> b + 1 & 1 for a, b in zip(walk, walk[1:]))
+            return total
+
+        for size, layer in enumerate(exact._ham_dp_layers(g, 0), 1):
+            subsets = sorted(s for s in range(1 << k) if s.bit_count() == size)
+            for w in range(k):
+                assert layer[w].tolist() == [paths(s, w) for s in subsets if s >> w & 1]
+
+    def test_layer_masks_are_ascending_layers(self):
+        for k in range(9):
+            got = [layer.tolist() for layer in exact._layer_masks(k)]
+            assert got == [sorted(s for s in range(1 << k) if s.bit_count() == size) for size in range(1, k + 1)]
+
 
 class TestPermanent:
     def test_matches_permutation_sum_exhaustively_to_n4(self):
@@ -157,6 +195,16 @@ class TestPermanent:
             assert exact._permanent_residue(g, p) == want % p
 
 
+def test_permanent_high_column_chunks(monkeypatch):
+    # Two low columns per chunk: the other columns index the high table.
+    monkeypatch.setattr(exact, "_CHUNK_BITS", 2)
+    graphs = [*all_digraphs(3), *(gen_gnp(n, 0.6, n, "digraph") for n in range(4, 8))]
+    for g in graphs:
+        want = permanent_by_permutation_sum(g)
+        for p in (0, 7):
+            assert exact._permanent_residue(g, p) == want % (p or 1 << 64)
+
+
 class TestSmallCounters:
     """The pure-Python counters (n <= SMALL_N) against the numpy kernels."""
 
@@ -172,6 +220,19 @@ class TestSmallCounters:
         derangements = sum((-1) ** i * math.factorial(n) // math.factorial(i) for i in range(n + 1))
         assert exact._ham_dp_small(g) == exact._from_residues(g, exact._ham_dp_residue) == math.factorial(n - 1)
         assert exact._permanent_small(g) == exact._from_residues(g, exact._permanent_residue) == derangements
+
+
+def test_selftest_runs_numpy_kernels(monkeypatch):
+    from hamb.selftest import run_selftest
+
+    calls = {name: 0 for name in ("_ham_dp_residue", "_permanent_residue")}
+    for name in calls:
+        def counted(m, p, kernel=getattr(exact, name), name=name):
+            calls[name] += 1
+            return kernel(m, p)
+        monkeypatch.setattr(exact, name, counted)
+    assert run_selftest(emit=lambda line: None)
+    assert all(calls.values()), calls
 
 
 class TestResidueArithmetic:
