@@ -10,11 +10,11 @@ surviving branch a full Hamiltonian cycle.  The trial value is the product of
 the candidate-set sizes, an unbiased estimate of the cycle count: a cycle
 selected with probability 1/x contributes value x.
 
-Row order is a policy:
+Row order is a policy: one rule for picking the row on one trial, ``_run``:
 
 * ``ascending``   - always expand the top row (classic fixed order),
-* ``follow-path`` - expand the endpoint of the partial cycle, i.e. a
-  self-avoiding walk from the start vertex with a final closing test,
+* ``follow-path`` - expand the start's row, then always the row of the vertex
+  just chosen: a self-avoiding walk from the start with a final closing test,
 * ``table``       - look the next row position up in a fixed integer matrix,
   indexed by the step and the previously chosen column position.
 
@@ -30,8 +30,11 @@ trial's working state, each step draws for all live trials at once, and trials
 whose candidate set empties drop out of the block.  The working rows and column
 labels are ``uint8`` (n <= 64), and so is the running count that ranks each
 trial's candidates.  The block computes its trials' PCG64 words itself,
-following numpy's SeedSequence, PCG64 and ``Generator.integers`` algorithms,
-and reads each ``uint64`` word as two ``uint32`` halves through a
+following numpy's SeedSequence, PCG64 and ``Generator.integers`` algorithms.
+This replica keeps ``numpy.random`` out of an ``estimate`` process, which
+imports it only to redo a trial whose draw Lemire's method rejects: on
+G(20, 0.4) importing it raises the process's peak RSS from 34 to 37 MB.  The
+block reads each ``uint64`` word as two ``uint32`` halves through a
 little-endian view, low half first on any host, as ``integers`` consumes them.
 So every trial takes exactly the value the reference path gives it and the
 report equals, byte for byte, the report of running the trials one at a time.
@@ -66,7 +69,7 @@ class RowOrderPolicy:
         elif self.kind == "follow-path":
             if self.table is not None:
                 raise PolicyError("follow-path policy takes no table")
-            if not isinstance(self.start, int) or self.start < 1:
+            if type(self.start) is not int or self.start < 1:  # a bool is not a label
                 raise PolicyError(f"follow-path start must be a vertex label >= 1, got {self.start!r}")
         elif self.kind == "table":
             if self.start is not None:
@@ -85,7 +88,7 @@ class RowOrderPolicy:
                 raise PolicyError(f"table row {i + 1} has {len(row)} entries, expected {n}")
             hi = n - i
             for j, b in enumerate(row):
-                if not isinstance(b, int) or not 1 <= b <= hi:
+                if type(b) is not int or not 1 <= b <= hi:
                     raise PolicyError(
                         f"table entry ({i + 1},{j + 1}) = {b!r} outside 1..{hi}"
                     )
@@ -155,15 +158,6 @@ def _check_policy(g: DiGraph, policy: RowOrderPolicy) -> None:
         raise PolicyError(f"table policy is {k}x{k} but the graph has n={g.n}")
 
 
-def _bit_positions(x: int) -> list[int]:
-    out = []
-    while x:
-        b = x & -x
-        out.append(b.bit_length() - 1)
-        x ^= b
-    return out
-
-
 def _cycle_order(succ: dict[int, int], n: int) -> list[int]:
     order = [0]
     cur = succ[0]
@@ -175,12 +169,13 @@ def _cycle_order(succ: dict[int, int], n: int) -> list[int]:
     return order
 
 
-def _run_matrix(g: DiGraph, policy: RowOrderPolicy, choose: Callable[[list[int]], int]):
-    """Matrix-form trial for the table policy; ``ascending`` is the all-ones
-    table, so it always expands the top row.
+def _run(g: DiGraph, policy: RowOrderPolicy, choose: Callable[[list[int]], int]):
+    """One matrix-form trial; the policy only picks the row to expand.
 
-    Returns (p_factors_so_far, cycle_vertex_order_or_None).  ``choose`` gets
-    the candidate column positions in ascending order and returns one of them.
+    ``ascending`` is the all-ones table.  ``follow-path`` expands the start's
+    position, then where the chosen column lands after the delete: the chosen
+    vertex's row.  Returns (p_factors_so_far, cycle_vertex_order_or_None);
+    ``choose`` gets the candidate positions in ascending order, returns one.
     """
     n, adj = g.n, g.rows
     rows = list(range(n))      # remaining row vertices, by position
@@ -188,10 +183,14 @@ def _run_matrix(g: DiGraph, policy: RowOrderPolicy, choose: Callable[[list[int]]
     succ: dict[int, int] = {}
     ps: list[int] = []
     k = 0                      # previously chosen column position
-    table = policy.table
+    table, start = policy.table, policy.start
+    gpos = start - 1 if start else 0
     for step in range(n):
         m = n - step
-        gpos = (table[step][k] if table else 1) - 1
+        if table:
+            gpos = table[step][k] - 1
+        elif start and step:
+            gpos = k - (k > gpos)
         u = rows[gpos]
         row = adj[u]
         if m == 1:
@@ -204,47 +203,13 @@ def _run_matrix(g: DiGraph, policy: RowOrderPolicy, choose: Callable[[list[int]]
         cand = [p for p in range(m) if p != gpos and row >> labels[p] & 1]
         if not cand:
             return ps, None
-        J = choose(cand)
+        k = choose(cand)
         ps.append(len(cand))
-        succ[u] = labels[J]
-        k = J
-        labels[gpos], labels[J] = labels[J], labels[gpos]
+        succ[u] = labels[k]
+        labels[gpos], labels[k] = labels[k], labels[gpos]
         del rows[gpos]
         del labels[gpos]
     raise AssertionError("unreachable")
-
-
-def _run_walk(g: DiGraph, start0: int, choose: Callable[[list[int]], int]):
-    """Self-avoiding-walk trial for the follow-path policy.
-
-    Step 1 offers every out-neighbor of the start; later steps offer the
-    unvisited out-neighbors of the current endpoint; the last multiplier is
-    the closing arc back to the start (1 or 0).
-    """
-    n, adj = g.n, g.rows
-    visited = 1 << start0
-    cur = start0
-    order = [start0]
-    ps: list[int] = []
-    for _ in range(n - 1):
-        avail = adj[cur] & ~visited
-        if not avail:
-            return ps, None
-        cand = _bit_positions(avail)
-        v = choose(cand)
-        ps.append(len(cand))
-        visited |= 1 << v
-        order.append(v)
-        cur = v
-    closing = adj[cur] >> start0 & 1
-    ps.append(closing)
-    return ps, (order if closing else None)
-
-
-def _run(g: DiGraph, policy: RowOrderPolicy, choose: Callable[[list[int]], int]):
-    if policy.kind == "follow-path":
-        return _run_walk(g, policy.start - 1, choose)
-    return _run_matrix(g, policy, choose)
 
 
 def _make_outcome(g: DiGraph, ps: list[int], cycle: list[int] | None) -> TrialOutcome:
@@ -436,7 +401,13 @@ def _choose(cand, u32, live, pos, widths, step):
 
 
 def _walk(adj: np.ndarray, start: int, u32: np.ndarray):
-    """Lockstep ``_run_walk``: per-trial visited rows; the endpoint expands."""
+    """Lockstep follow-path as a walk over visited rows; the tests hold it to ``_run``.
+
+    There, labels other than the start's are only ever deleted, so they stay in
+    ascending vertex order, and the start's label sits at the endpoint row's
+    position.  So ``_run`` offers the endpoint's unvisited out-neighbours in
+    ascending order, as this walk does, and its last step tests the arc home.
+    """
     blk, n = len(u32), len(adj)
     widths = np.zeros((blk, n - 1), dtype=np.uint8)
     live, pos, redo = np.arange(blk), np.zeros(blk, dtype=np.intp), []
@@ -452,7 +423,7 @@ def _walk(adj: np.ndarray, start: int, u32: np.ndarray):
 
 
 def _expand(adj: np.ndarray, order: np.ndarray, u32: np.ndarray):
-    """Lockstep ``_run_matrix``: per-trial rows and labels of the working matrix.
+    """Lockstep ``_run`` for tables: per-trial rows and labels of the working matrix.
 
     ``order[step, k]`` is the 0-based row position to expand after column
     position ``k`` was chosen; ``ascending`` is the all-zeros order.

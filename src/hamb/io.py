@@ -97,6 +97,8 @@ def _parse_object(text: str) -> DiGraph | UndiGraph:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid object syntax: {e.msg}", line=e.lineno, col=e.colno) from None
+    except RecursionError:
+        raise ParseError("invalid object syntax: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError("object form must be a JSON object with keys n, kind, edges")
     extra = set(obj) - {"n", "kind", "edges"}

@@ -264,6 +264,15 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "line 2" in res.stderr
 
+    def test_input_error_deeply_nested_object(self, tmp_path):
+        path = tmp_path / "deep.json"
+        depth = 200_000
+        path.write_text('{"n": ' + "[" * depth + "]" * depth + ', "kind": "directed", "edges": []}')
+        res = run_cli("exact", "--input", str(path))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("input error:")
+        assert "Traceback" not in res.stderr
+
     def test_input_error_missing_file(self):
         assert run_cli("exact", "--input", "/nonexistent/g.txt").returncode == 2
 
@@ -326,12 +335,13 @@ class TestSelftestCommand:
         assert "graph-invariants: FAIL" in res.stdout
 
 
-# ``python -m hamb`` as ``-m`` runs it, then whether numpy was imported, as
+# ``python -m hamb`` as ``-m`` runs it, then whether a module was imported, as
 # the last stdout line at exit.
-_REPORT_NUMPY = (
-    "import atexit, runpy, sys; atexit.register(lambda: print('numpy' in sys.modules)); "
+_REPORT_MODULE = (
+    "import atexit, runpy, sys; atexit.register(lambda: print({!r} in sys.modules)); "
     "runpy.run_module('hamb', run_name='__main__', alter_sys=True)"
 )
+_REPORT_NUMPY = _REPORT_MODULE.format("numpy")
 
 
 class TestLazyImports:
@@ -362,6 +372,19 @@ class TestLazyImports:
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == str(loads_numpy)
         assert res.stderr.splitlines()[-1].startswith("elapsed-ms: ")
+
+    @pytest.mark.parametrize("policy", ["ascending", "follow-path:1"])
+    def test_estimate_never_imports_numpy_random(self, tmp_path, policy):
+        # The lockstep kernel computes its PCG64 words itself; importing
+        # numpy.random would cost an estimate process ~3 MB of peak RSS.
+        probe = run_cli(entry=("-c", "import numpy, sys; print('numpy.random' in sys.modules)"))
+        if probe.stdout.strip() == "True":
+            pytest.skip("a bare 'import numpy' loads numpy.random on this numpy")
+        (tmp_path / "g.txt").write_text(serialize_graph(gen_gnp(20, 0.4, 3, "undirected")))
+        res = run_cli("estimate", "--trials", "3000", "--policy", policy, "--input", "g.txt",
+                      cwd=tmp_path, entry=("-c", _REPORT_MODULE.format("numpy.random")))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "False"
 
     def test_every_public_name_resolves(self):
         import hamb

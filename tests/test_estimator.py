@@ -44,6 +44,14 @@ class TestRowOrderPolicy:
         with pytest.raises(PolicyError):
             RowOrderPolicy.follow_path(0)
 
+    def test_follow_path_rejects_bool_start(self):
+        with pytest.raises(PolicyError, match="True"):
+            RowOrderPolicy.follow_path(True)
+
+    def test_table_rejects_bool_entry(self):
+        with pytest.raises(PolicyError, match=r"\(1,1\) = True"):
+            RowOrderPolicy("table", table=((True,),))
+
     def test_ascending_takes_no_params(self):
         with pytest.raises(PolicyError):
             RowOrderPolicy("ascending", start=1)
@@ -159,6 +167,25 @@ class TestBranches:
                     assert out.witness not in seen
                     seen.add(out.witness)
             assert len(seen) == count
+
+    def test_follow_path_branches_walk_from_start(self):
+        # A follow-path branch is a self-avoiding walk from the start: read
+        # off its witness from s, each step picks one of the current vertex's
+        # unvisited out-neighbours, so the branch has probability
+        # 1 / prod(counts).  Only g is consulted, neither trial kernel.
+        for n in range(1, 5):
+            for g in all_digraphs(n):
+                for s in range(1, n + 1):
+                    for prob, out in enumerate_branches(g, RowOrderPolicy.follow_path(s)):
+                        if out.value == 0:
+                            continue
+                        vs = out.witness.vertices
+                        walk = vs[vs.index(s):] + vs[:vs.index(s)]
+                        counts = 1
+                        for i, v in enumerate(walk[:-1]):
+                            counts *= sum(g.has_arc(v, w) for w in range(1, n + 1) if w not in walk[:i + 1])
+                        assert prob == Fraction(1, counts), (g, s, walk)
+                        assert out.value == counts and out.witness.is_cycle_of(g)
 
 
 class TestEstimate:
