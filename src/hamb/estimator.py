@@ -103,8 +103,7 @@ class RowOrderPolicy:
 
     @classmethod
     def from_table(cls, rows: Sequence[Sequence[int]]) -> "RowOrderPolicy":
-        table = tuple(tuple(int(x) for x in row) for row in rows)
-        return cls("table", table=table)
+        return cls("table", table=tuple(tuple(row) for row in rows))
 
     def describe(self) -> str:
         if self.kind == "ascending":

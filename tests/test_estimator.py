@@ -48,9 +48,12 @@ class TestRowOrderPolicy:
         with pytest.raises(PolicyError, match="True"):
             RowOrderPolicy.follow_path(True)
 
-    def test_table_rejects_bool_entry(self):
-        with pytest.raises(PolicyError, match=r"\(1,1\) = True"):
-            RowOrderPolicy("table", table=((True,),))
+    @pytest.mark.parametrize("entry", [True, 1.0])
+    def test_table_rejects_non_int_entry(self, entry):
+        with pytest.raises(PolicyError, match=rf"\(1,1\) = {entry}"):
+            RowOrderPolicy("table", table=((entry,),))
+        with pytest.raises(PolicyError, match=rf"\(1,1\) = {entry}"):
+            RowOrderPolicy.from_table([[entry]])
 
     def test_ascending_takes_no_params(self):
         with pytest.raises(PolicyError):
