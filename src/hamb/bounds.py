@@ -19,9 +19,8 @@ under the documented 1e-12 budget), so exp(log_upper) >= the true bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import DiGraph, UndiGraph, degrees, is_symmetric, row_sums
 
@@ -48,8 +47,7 @@ def _cap_from_log(log_upper: float) -> int | None:
     return math.floor(math.exp(log_upper) * (1.0 + 1e-12))
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     """One bound: optional exact rational, upward-rounded natural log, and an
     integer cap valid for any count the bound dominates."""
 
@@ -58,8 +56,7 @@ class BoundValue:
     integer_cap: int | None
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """The applicable bounds for one graph; ``symmetric`` is present only for
     symmetric digraphs with n >= 3 (always, for undirected reports)."""
 
@@ -69,8 +66,7 @@ class BoundReport:
     applicable_minimum: str
 
 
-@dataclass(frozen=True)
-class DominanceRecord:
+class DominanceRecord(NamedTuple):
     """Bound values for one degree sequence plus dominance flags."""
 
     symmetric: BoundValue

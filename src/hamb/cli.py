@@ -4,8 +4,13 @@ The graph and table file formats live in :mod:`hamb.io`; ``parse_graph`` and
 ``serialize_graph`` are re-exported here.  Reports go to stdout and are
 byte-identical for identical inputs; wall-clock timing goes to stderr only.
 On success its last line is ``elapsed-ms``, the time from argument parsing to
-the end of the report.  It leaves out start-up, including the modules that a
-command always loads (numpy, for ``estimate`` and ``selftest``).
+the end of the report.  It leaves out start-up, including the modules that
+``_PRELOAD`` loads first: the hamb modules that a command runs whatever its
+input (and ``hamb.exact`` for every ``compare``), with numpy for ``estimate``
+and ``selftest``.  A module that only some inputs need loads where it is used,
+inside the clock: numpy and ``hamb.bounds`` for an exact count above n = 12,
+``hamb.exact`` for the count that ``bounds`` prints up to n = 16, ``json`` for
+``--json``.
 Counts are printed as decimal strings, exact rationals as
 ``numerator/denominator``, reals with 15 significant digits.
 
@@ -15,24 +20,22 @@ Exit codes: 0 success, 1 usage error, 2 input error, 3 size-limit error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import importlib
-import json
 import math
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import exact
-from .bounds import BoundValue, digraph_bounds, dominance_compare, undirected_bounds
 from .errors import GraphSizeError, ParseError, PolicyError
 from .graphs import FAMILIES, GRAPH_KINDS, DiGraph, UndiGraph, gen_family, gen_gnp, row_sums, to_symmetric_digraph
 from .io import load_table_policy, parse_graph, serialize_graph
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .bounds import BoundValue
     from .estimator import RowOrderPolicy
 
 EXIT_OK = 0
@@ -99,6 +102,8 @@ def _parse_policy_spec(spec: str) -> RowOrderPolicy:
 
 def _emit_fields(args, fields: dict[str, str]) -> None:
     if getattr(args, "json", False):
+        import json
+
         print(json.dumps(fields, indent=2, sort_keys=True))
     else:
         for key, value in fields.items():
@@ -122,6 +127,8 @@ def _read_input(args) -> tuple[DiGraph | UndiGraph, dict[str, str]]:
 
 
 def _cmd_exact(args) -> int:
+    from . import exact
+
     g, info = _read_input(args)
     fields = {"command": "exact", **info, "method": args.method}
     if isinstance(g, UndiGraph):
@@ -139,10 +146,12 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    from .estimator import estimate
+    from .estimator import MAX_TRIALS, estimate
 
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise UsageError(f"--trials must be <= 2^64, got {args.trials}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     policy = _parse_policy_spec(args.policy)
@@ -192,14 +201,17 @@ def _bound_fields(name: str, bound: BoundValue) -> dict[str, str]:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import digraph_bounds, undirected_bounds
+
     g, info = _read_input(args)
     fields = {"command": "bounds", **info}
-    if isinstance(g, UndiGraph):
-        report = undirected_bounds(g)
-        count = exact.ham_undirected(g) if g.n <= COUNT_FEASIBLE_N else None
-    else:
-        report = digraph_bounds(g)
-        count = exact.ham_dp(g) if g.n <= COUNT_FEASIBLE_N else None
+    undirected = isinstance(g, UndiGraph)
+    report = (undirected_bounds if undirected else digraph_bounds)(g)
+    count = None
+    if g.n <= COUNT_FEASIBLE_N:
+        from .exact import ham_dp, ham_undirected
+
+        count = (ham_undirected if undirected else ham_dp)(g)
     slots = (("symmetric", report.symmetric), ("bregman", report.bregman), ("minc", report.minc))
     slots = [(name, bound) for name, bound in slots if bound is not None]
     for name, bound in slots:
@@ -244,6 +256,9 @@ def _check_draw_args(args, flag: str, choice: str, n: int) -> None:
 
 
 def _cmd_compare(args) -> int:
+    from .bounds import dominance_compare
+    from .exact import ham_dp
+
     lo, hi = _parse_range(args.n)
     _check_draw_args(args, "--family", args.family, lo)
     rows = []
@@ -254,7 +269,7 @@ def _cmd_compare(args) -> int:
             g = gen_family(args.family, n, kind="symmetric-digraph")
         r = row_sums(g)
         record = dominance_compare(r)
-        exact_count = str(exact.ham_dp(g)) if n <= COUNT_FEASIBLE_N else ""
+        exact_count = str(ham_dp(g)) if n <= COUNT_FEASIBLE_N else ""
         rows.append(
             {
                 "n": str(n),
@@ -269,6 +284,8 @@ def _cmd_compare(args) -> int:
         )
     columns = ["n", "degrees", "symmetric", "minc", "bregman", "exact", "new_le_minc", "new_le_bregman"]
     if args.json:
+        import json
+
         doc = {
             "command": "compare",
             "family": args.family,
@@ -280,6 +297,8 @@ def _cmd_compare(args) -> int:
             doc["seed"] = str(args.seed)
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
+        import csv
+
         writer = csv.DictWriter(sys.stdout, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
@@ -365,9 +384,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# Commands that always run numpy code; their module loads before the clock
-# starts, so elapsed-ms times a command's work for every command alike.
-_PRELOAD = {"estimate": ".estimator", "selftest": ".selftest"}
+# Loaded before the elapsed-ms clock starts (see the module docstring).
+_PRELOAD = {"bounds": (".bounds",), "compare": (".exact", ".bounds"), "estimate": (".estimator",),
+            "exact": (".exact",), "selftest": (".selftest",)}
 
 _DISPATCH = {
     "exact": _cmd_exact,
@@ -382,8 +401,8 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _PRELOAD:
-        importlib.import_module(_PRELOAD[argv[0]], __package__)
+    for module in _PRELOAD.get(argv[0], ()) if argv else ():
+        importlib.import_module(module, __package__)
     started = time.perf_counter()
     try:
         args = parser.parse_args(argv)

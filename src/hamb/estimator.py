@@ -44,9 +44,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,29 +53,29 @@ from .errors import PolicyError
 from .graphs import CycleWitness, DiGraph, check_integer
 
 
-@dataclass(frozen=True)
-class RowOrderPolicy:
+class RowOrderPolicy(NamedTuple("RowOrderPolicy", [("kind", str), ("start", int | None),
+                                                  ("table", tuple[tuple[int, ...], ...] | None)])):
     """Strategy for which row the estimator expands at each step."""
 
-    kind: str
-    start: int | None = None
-    table: tuple[tuple[int, ...], ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind == "ascending":
-            if self.start is not None or self.table is not None:
+    def __new__(cls, kind: str, start: int | None = None, table: tuple[tuple[int, ...], ...] | None = None):
+        self = super().__new__(cls, kind, start, table)
+        if kind == "ascending":
+            if start is not None or table is not None:
                 raise PolicyError("ascending policy takes no parameters")
-        elif self.kind == "follow-path":
-            if self.table is not None:
+        elif kind == "follow-path":
+            if table is not None:
                 raise PolicyError("follow-path policy takes no table")
-            if type(self.start) is not int or self.start < 1:  # a bool is not a label
-                raise PolicyError(f"follow-path start must be a vertex label >= 1, got {self.start!r}")
-        elif self.kind == "table":
-            if self.start is not None:
+            if type(start) is not int or start < 1:  # a bool is not a label
+                raise PolicyError(f"follow-path start must be a vertex label >= 1, got {start!r}")
+        elif kind == "table":
+            if start is not None:
                 raise PolicyError("table policy takes no start vertex")
             self._validate_table()
         else:
-            raise PolicyError(f"unknown policy kind {self.kind!r}")
+            raise PolicyError(f"unknown policy kind {kind!r}")
+        return self
 
     def _validate_table(self):
         table = self.table
@@ -114,8 +113,7 @@ class RowOrderPolicy:
         return f"table:{len(self.table)}x{len(self.table)}:{digest}"
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
+class TrialOutcome(NamedTuple):
     """One estimator run: big-integer value, optional cycle, multipliers."""
 
     value: int
@@ -123,8 +121,7 @@ class TrialOutcome:
     p_factors: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(NamedTuple):
     """Aggregated Monte Carlo statistics over independent trials."""
 
     trials: int
@@ -280,6 +277,7 @@ def enumerate_branches(g: DiGraph, policy: RowOrderPolicy) -> Iterator[tuple[Fra
 # (distributions.c) and reads nothing when ``w == 1``.
 
 _BLOCK = 1024  # trials per lockstep block; 2048 raises a process's peak RSS
+MAX_TRIALS = 1 << 64  # trial indices are uint64
 _M32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -466,9 +464,9 @@ def _block_values(g: DiGraph, policy: RowOrderPolicy, seed: int, trials: range) 
     else:
         order = np.array(policy.table or [[1] * g.n] * g.n, dtype=np.uint8) - 1
         kernel = functools.partial(_expand, adj, order)
-    bounds = range((trials.start // _BLOCK + 1) * _BLOCK, trials.stop, _BLOCK)
-    cuts = [trials.start, *bounds, trials.stop]
-    for first, stop in zip(cuts, cuts[1:]):
+    first = trials.start
+    while first < trials.stop:
+        stop = min((first // _BLOCK + 1) * _BLOCK, trials.stop)
         raw = _stream_words(seed, np.arange(first, stop, dtype=np.uint64), g.n // 2)
         hits, widths, redo = kernel(raw.astype("<u8", copy=False).view("<u4"))
         values = [0] * (stop - first)
@@ -477,6 +475,7 @@ def _block_values(g: DiGraph, policy: RowOrderPolicy, seed: int, trials: range) 
         for b in redo:
             values[b] = trial_with_policy(g, policy, trial_stream(seed, first + b)).value
         yield from values
+        first = stop
 
 
 def estimate(g: DiGraph, policy: RowOrderPolicy, trials: int, seed: int) -> EstimateReport:
@@ -487,7 +486,8 @@ def estimate(g: DiGraph, policy: RowOrderPolicy, trials: int, seed: int) -> Esti
     (graph, policy, trials, seed), and its first ``k`` trials are those of
     ``estimate(g, policy, k, seed)``.
     """
-    check_integer(trials, "trials", 1)
+    if check_integer(trials, "trials", 1) > MAX_TRIALS:
+        raise ValueError(f"trials must be <= 2^64 (trial indices are uint64), got {trials}")
     check_integer(seed, "seed")
     _check_policy(g, policy)
     total = 0

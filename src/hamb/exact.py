@@ -41,14 +41,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterator
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .bounds import bregman_bound
 from .errors import GraphSizeError
 from .graphs import Adjacency, DiGraph, UndiGraph, row_sums, to_symmetric_digraph
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
     from .estimator import RowOrderPolicy
@@ -172,6 +172,8 @@ def _from_residues(m: Adjacency, residue: Callable[[Adjacency, int], int]) -> in
     count <= permanent <= cap; passes run, and combine by CRT, only until the
     moduli multiply past the cap (none when a zero row pins it to 0).
     """
+    from .bounds import bregman_bound
+
     cap = bregman_bound(row_sums(m)).integer_cap
     count, modulus = 0, 1
     for p in (0,) + _PRIMES:
@@ -336,6 +338,8 @@ def estimator_expectation(g: DiGraph, policy: RowOrderPolicy) -> Fraction:
         raise GraphSizeError(
             f"estimator_expectation supports n <= {EXPECTATION_MAX_N} (decision-tree enumeration); got n={g.n}"
         )
+    from fractions import Fraction
+
     from .estimator import enumerate_branches
 
     total = Fraction(0)

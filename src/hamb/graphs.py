@@ -13,8 +13,7 @@ graph file formats live in :mod:`hamb.io`.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GraphSizeError
 
@@ -47,29 +46,34 @@ def _check_vertex_count(n: int) -> None:
         raise GraphSizeError(f"n={n} exceeds the vertex cap of {cap}{note}")
 
 
-@dataclass(frozen=True)
-class ContractedMatrix:
+class ContractedMatrix(NamedTuple("ContractedMatrix", [("n", int), ("rows", tuple[int, ...])])):
     """0/1 matrix produced by :func:`contract`; diagonal ones are permitted
-    (the slot that closes a partially committed cycle)."""
+    (the slot that closes a partially committed cycle).  A matrix equals only
+    one of its own type, so a ``DiGraph`` never equals a ``ContractedMatrix``."""
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, rows: tuple[int, ...]):
+        if n < 1:
             raise ValueError("contracted matrix must have dimension >= 1")
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
-        full = (1 << self.n) - 1
-        for u, row in enumerate(self.rows):
+        if len(rows) != n:
+            raise ValueError(f"expected {n} rows, got {len(rows)}")
+        full = (1 << n) - 1
+        for u, row in enumerate(rows):
             if row & ~full:
-                raise ValueError(f"row {u + 1} has bits outside 1..{self.n}")
+                raise ValueError(f"row {u + 1} has bits outside 1..{n}")
+        return super().__new__(cls, n, rows)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__  # negates __eq__; tuple's would compare values only
+    __hash__ = tuple.__hash__
 
     def matrix(self) -> list[list[int]]:
         return [[self.rows[u] >> v & 1 for v in range(self.n)] for u in range(self.n)]
 
 
-@dataclass(frozen=True)
 class DiGraph(ContractedMatrix):
     """Simple directed graph on vertices 1..n; zero diagonal, 0/1 arcs.
 
@@ -77,12 +81,15 @@ class DiGraph(ContractedMatrix):
     self-loops, so every counter that takes a matrix takes a digraph.
     """
 
-    def __post_init__(self):
-        _check_vertex_count(self.n)
-        super().__post_init__()
-        for u, row in enumerate(self.rows):
+    __slots__ = ()
+
+    def __new__(cls, n: int, rows: tuple[int, ...]):
+        _check_vertex_count(n)
+        self = super().__new__(cls, n, rows)
+        for u, row in enumerate(rows):
             if row >> u & 1:
                 raise ValueError(f"self-loop at vertex {u + 1}")
+        return self
 
     @property
     def num_arcs(self) -> int:
@@ -105,18 +112,17 @@ class DiGraph(ContractedMatrix):
 Adjacency = ContractedMatrix  # a DiGraph is one too
 
 
-@dataclass(frozen=True)
-class UndiGraph:
+class UndiGraph(NamedTuple("UndiGraph", [("n", int), ("edges", frozenset[tuple[int, int]])])):
     """Simple undirected graph; edges stored 0-based as (u, v) with u < v."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_vertex_count(self.n)
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"bad internal edge ({u}, {v}) for n={self.n}")
+    def __new__(cls, n: int, edges: frozenset[tuple[int, int]]):
+        _check_vertex_count(n)
+        for u, v in edges:
+            if not (0 <= u < v < n):
+                raise ValueError(f"bad internal edge ({u}, {v}) for n={n}")
+        return super().__new__(cls, n, edges)
 
     @property
     def num_edges(self) -> int:
@@ -216,8 +222,7 @@ def contract(m: Adjacency, i: int, j: int) -> ContractedMatrix:
     return ContractedMatrix(m.n - 1, tuple(new_rows))
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(NamedTuple):
     """A Hamiltonian cycle in canonical form.
 
     Directed cycles are rotated so the smallest label comes first; undirected

@@ -9,7 +9,6 @@ file holds one row of integers per line.
 """
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -93,6 +92,8 @@ def _check_edge(u: int, v: int, n: int, lineno: int | None = None, index: int | 
 
 
 def _parse_object(text: str) -> DiGraph | UndiGraph:
+    import json
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -137,6 +138,8 @@ def serialize_graph(g: DiGraph | UndiGraph, fmt: str = "text") -> str:
         lines.extend(f"{u} {v}" for u, v in pairs)
         return "\n".join(lines) + "\n"
     if fmt == "object":
+        import json
+
         obj = {"n": g.n, "kind": kind, "edges": [[u, v] for u, v in pairs]}
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from hamb import ParseError, GraphSizeError, UndiGraph, DiGraph, gen_gnp, gen_family
+from hamb import ParseError, GraphSizeError, UndiGraph, DiGraph, gen_gnp, gen_family, selftest
 from hamb.io import parse_graph, serialize_graph
 
 from conftest import run_cli
@@ -249,6 +250,14 @@ class TestExitCodes:
         assert "usage error" in res.stderr
         assert not (tmp_path / "x.txt").exists()
 
+    def test_usage_error_trials_past_uint64(self, tmp_path):
+        # Trial indices are uint64, so a run holds at most 2^64 trials.
+        (tmp_path / "c3.txt").write_text(serialize_graph(gen_family("cycle", 3, "undirected")))
+        res = run_cli("estimate", "--input", "c3.txt", "--trials", str(10**30), cwd=tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith("usage error:"), res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_usage_error_gnp_needs_p(self, tmp_path):
         assert run_cli("compare", "--family", "gnp", "--n", "3..4").returncode == 1
         assert run_cli("gen", "--model", "gnp", "--n", "4", "--out", "g.txt", cwd=tmp_path).returncode == 1
@@ -334,14 +343,46 @@ class TestSelftestCommand:
         assert res.returncode == 4
         assert "graph-invariants: FAIL" in res.stdout
 
+    def test_vector_draws_equal_scalar_draws(self):
+        # Generator.integers takes one uint32 per draw whether it draws one
+        # number per call or a row per call, so the suites check the same
+        # degree sequences and tables as the scalar loops they replace.
+        rng = np.random.default_rng(99)
+        scalar = []
+        for _ in range(2000):
+            n = int(rng.integers(3, 51))
+            scalar.append([int(rng.integers(0, n)) for _ in range(n)])
+        assert list(selftest._degree_sequences()) == scalar
+        vector_rng, scalar_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for n in [4] * 64 + [5, 6] * 5:  # the graph sizes of _suite_unbiasedness, in order
+            tables = [p.table for p in selftest._policies_for(n, vector_rng) if p.kind == "table"]
+            assert tables == [
+                tuple(tuple(int(scalar_rng.integers(1, n - i + 1)) for _ in range(n)) for i in range(n))
+                for _ in range(2)
+            ]
 
-# ``python -m hamb`` as ``-m`` runs it, then whether a module was imported, as
-# the last stdout line at exit.
+
+# ``python -m hamb`` as ``-m`` runs it, then whether each of a tuple of modules
+# was imported (``True``/``False``, space-separated), as the last stdout line at
+# exit.
 _REPORT_MODULE = (
-    "import atexit, runpy, sys; atexit.register(lambda: print({!r} in sys.modules)); "
+    "import atexit, runpy, sys; atexit.register(lambda: print(*(m in sys.modules for m in {!r}))); "
     "runpy.run_module('hamb', run_name='__main__', alter_sys=True)"
 )
-_REPORT_NUMPY = _REPORT_MODULE.format("numpy")
+_REPORT_NUMPY = _REPORT_MODULE.format(("numpy",))
+
+
+def _write_inputs(directory) -> None:
+    """The graph files that the import probes below read."""
+    graphs = {
+        "triangle.txt": gen_family("cycle", 3, "undirected"),
+        "n20.txt": gen_gnp(20, 0.3, 1, "undirected"),
+        "d8.txt": gen_gnp(8, 0.5, 2, "digraph"),
+        "k12.txt": gen_family("complete", 12, "digraph"),
+        "k13.txt": gen_family("complete", 13, "digraph"),
+    }
+    for name, g in graphs.items():
+        (directory / name).write_text(serialize_graph(g))
 
 
 class TestLazyImports:
@@ -359,15 +400,7 @@ class TestLazyImports:
         ],
     )
     def test_numpy_loads_only_for_numpy_work(self, tmp_path, argv, loads_numpy):
-        graphs = {
-            "triangle.txt": gen_family("cycle", 3, "undirected"),
-            "n20.txt": gen_gnp(20, 0.3, 1, "undirected"),
-            "d8.txt": gen_gnp(8, 0.5, 2, "digraph"),
-            "k12.txt": gen_family("complete", 12, "digraph"),
-            "k13.txt": gen_family("complete", 13, "digraph"),
-        }
-        for name, g in graphs.items():
-            (tmp_path / name).write_text(serialize_graph(g))
+        _write_inputs(tmp_path)
         res = run_cli(*argv, cwd=tmp_path, entry=("-c", _REPORT_NUMPY))
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == str(loads_numpy)
@@ -382,9 +415,33 @@ class TestLazyImports:
             pytest.skip("a bare 'import numpy' loads numpy.random on this numpy")
         (tmp_path / "g.txt").write_text(serialize_graph(gen_gnp(20, 0.4, 3, "undirected")))
         res = run_cli("estimate", "--trials", "3000", "--policy", policy, "--input", "g.txt",
-                      cwd=tmp_path, entry=("-c", _REPORT_MODULE.format("numpy.random")))
+                      cwd=tmp_path, entry=("-c", _REPORT_MODULE.format(("numpy.random",))))
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == "False"
+
+    # No command loads dataclasses (and with it inspect, ast and dis); each
+    # loads only the hamb modules, and the stdlib ones, that it runs.
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            (("bounds", "--input", "triangle.txt"), ("dataclasses", "inspect", "hamb.estimator", "json")),
+            (("bounds", "--input", "n20.txt", "--json"), ("dataclasses", "inspect", "hamb.estimator", "hamb.exact")),
+            (("exact", "--method", "brute", "--input", "d8.txt"),
+             ("dataclasses", "inspect", "hamb.estimator", "hamb.bounds")),
+            (("gen", "--model", "complete", "--n", "12", "--out", "out.txt"),
+             ("dataclasses", "inspect", "hamb.estimator", "hamb.exact", "hamb.bounds", "json")),
+            (("estimate", "--trials", "5", "--input", "triangle.txt"), ("dataclasses", "hamb.exact", "hamb.bounds")),
+            (("compare", "--family", "cycle", "--n", "3..5", "--json"), ("dataclasses", "csv")),
+            (("selftest",), ("dataclasses",)),
+        ],
+        ids=["bounds-text", "bounds-n20-json", "exact-brute", "gen-family", "estimate", "compare-json", "selftest"],
+    )
+    def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, absent):
+        _write_inputs(tmp_path)
+        res = run_cli(*argv, cwd=tmp_path, entry=("-c", _REPORT_MODULE.format(absent)))
+        assert res.returncode == 0, res.stderr
+        loaded = dict(zip(absent, res.stdout.splitlines()[-1].split()))
+        assert loaded == dict.fromkeys(absent, "False")
 
     def test_every_public_name_resolves(self):
         import hamb

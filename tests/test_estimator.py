@@ -1,6 +1,7 @@
 """Randomized trials, policies, branch enumeration, Monte Carlo aggregation."""
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -228,6 +229,14 @@ class TestEstimate:
             with pytest.raises(ValueError, match="trials"):
                 estimate(g, RowOrderPolicy.ascending(), trials, 0)
 
+    def test_trials_capped_at_uint64(self):
+        # Trial indices are uint64; a larger count is refused before any work.
+        g = gen_family("cycle", 3, "symmetric-digraph")
+        assert estimator.MAX_TRIALS == 2**64
+        for trials in (2**64 + 1, 10**30):
+            with pytest.raises(ValueError, match="2\\^64"):
+                estimate(g, RowOrderPolicy.ascending(), trials, 0)
+
     def test_seed_must_be_non_negative(self):
         g = gen_family("cycle", 3, "symmetric-digraph")
         for seed in (-1, True, False, 1.0):
@@ -298,6 +307,15 @@ class TestLockstep:
             got = list(estimator._block_values(g, policy, 2**40 + 7, trials))
             assert got == _scalar_values(g, policy, 2**40 + 7, trials), policy.kind
             assert any(got), policy.kind
+
+    def test_block_starts_walk_lazily(self):
+        # A range far past 2^64 costs only the blocks that are read.
+        g = gen_gnp(6, 0.7, 3, "symmetric-digraph")
+        for policy in _policies(6, 7):
+            got = list(itertools.islice(estimator._block_values(g, policy, 7, range(10**30)), 5))
+            assert got == _scalar_values(g, policy, 7, range(5))
+            top = range(2**64 - 3, 2**64)  # the last trial indices a uint64 holds
+            assert list(estimator._block_values(g, policy, 7, top)) == _scalar_values(g, policy, 7, top)
 
     @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 12 * 10**21, 2**130 + 3])
     def test_stream_words_match_numpy(self, seed):
