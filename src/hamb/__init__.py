@@ -44,7 +44,6 @@ _EXPORTS = {
         "gen_family",
         "gen_gnp",
         "is_symmetric",
-        "max_vertices",
         "row_sums",
         "to_symmetric_digraph",
     ),

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .graphs import DiGraph, UndiGraph, degrees, is_symmetric, row_sums
+from .graphs import DiGraph, UndiGraph, check_integer, degrees, is_symmetric, row_sums
 
 _REL_GUARD = 1e-13
 _EXP_OVERFLOW_LOG = 700.0
@@ -77,11 +77,9 @@ class DominanceRecord(NamedTuple):
 
 
 def _check_degrees(r: Sequence[int]) -> tuple[int, ...]:
-    vals = tuple(int(x) for x in r)
+    vals = tuple(check_integer(x, "degree") for x in r)
     if not vals:
         raise ValueError("degree sequence must be non-empty")
-    if any(x < 0 for x in vals):
-        raise ValueError(f"degrees must be non-negative, got {vals}")
     return vals
 
 

@@ -5,12 +5,12 @@ The graph and table file formats live in :mod:`hamb.io`; ``parse_graph`` and
 byte-identical for identical inputs; wall-clock timing goes to stderr only.
 On success its last line is ``elapsed-ms``, the time from argument parsing to
 the end of the report.  It leaves out start-up, including the modules that
-``_PRELOAD`` loads first: the hamb modules that a command runs whatever its
-input (and ``hamb.exact`` for every ``compare``), with numpy for ``estimate``
-and ``selftest``.  A module that only some inputs need loads where it is used,
-inside the clock: numpy and ``hamb.bounds`` for an exact count above n = 12,
-``hamb.exact`` for the count that ``bounds`` prints up to n = 16, ``json`` for
-``--json``.
+``_COMMANDS`` lists beside each handler and loads first: the hamb modules that
+a command runs whatever its input (and ``hamb.exact`` for every ``compare``),
+with numpy for ``estimate`` and ``selftest``.  A module that only some inputs
+need loads where it is used, inside the clock: numpy and ``hamb.bounds`` for an
+exact count above n = 12, ``hamb.exact`` for the count that ``bounds`` prints
+up to n = 16, ``json`` for ``--json``, ``hashlib`` for a file digest.
 Counts are printed as decimal strings, exact rationals as
 ``numerator/denominator``, reals with 15 significant digits.
 
@@ -20,7 +20,6 @@ Exit codes: 0 success, 1 usage error, 2 input error, 3 size-limit error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib
 import math
 import sys
@@ -65,6 +64,8 @@ def _fmt_real(x: float) -> str:
 
 
 def _digest(data: bytes) -> str:
+    import hashlib
+
     return hashlib.sha256(data).hexdigest()
 
 
@@ -331,8 +332,7 @@ def _cmd_gen(args) -> int:
 def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    ok = run_selftest(corrupt_diagonal=args.corrupt_diagonal, emit=print)
-    return EXIT_OK if ok else EXIT_SELFTEST
+    return EXIT_OK if run_selftest() else EXIT_SELFTEST
 
 
 # ---------------------------------------------------------------------------
@@ -378,35 +378,33 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--format", choices=["text", "object"], default="text")
     p_gen.add_argument("--json", action="store_true")
 
-    p_self = sub.add_parser("selftest", help="run the built-in verification suites")
-    p_self.add_argument("--corrupt-diagonal", action="store_true", help=argparse.SUPPRESS)
+    sub.add_parser("selftest", help="run the built-in verification suites")
 
     return parser
 
 
-# Loaded before the elapsed-ms clock starts (see the module docstring).
-_PRELOAD = {"bounds": (".bounds",), "compare": (".exact", ".bounds"), "estimate": (".estimator",),
-            "exact": (".exact",), "selftest": (".selftest",)}
-
-_DISPATCH = {
-    "exact": _cmd_exact,
-    "estimate": _cmd_estimate,
-    "bounds": _cmd_bounds,
-    "compare": _cmd_compare,
-    "gen": _cmd_gen,
-    "selftest": _cmd_selftest,
+# Each command's handler and the hamb modules it loads before the elapsed-ms
+# clock starts (see the module docstring).
+_COMMANDS = {
+    "exact": (_cmd_exact, (".exact",)),
+    "estimate": (_cmd_estimate, (".estimator",)),
+    "bounds": (_cmd_bounds, (".bounds",)),
+    "compare": (_cmd_compare, (".exact", ".bounds")),
+    "gen": (_cmd_gen, ()),
+    "selftest": (_cmd_selftest, (".selftest",)),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    for module in _PRELOAD.get(argv[0], ()) if argv else ():
+    _, preload = _COMMANDS.get(argv[0] if argv else None, (None, ()))
+    for module in preload:
         importlib.import_module(module, __package__)
     started = time.perf_counter()
     try:
         args = parser.parse_args(argv)
-        code = _DISPATCH[args.cmd](args)
+        code = _COMMANDS[args.cmd][0](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -42,7 +42,6 @@ report equals, byte for byte, the report of running the trials one at a time.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -109,6 +108,8 @@ class RowOrderPolicy(NamedTuple("RowOrderPolicy", [("kind", str), ("start", int 
             return "ascending"
         if self.kind == "follow-path":
             return f"follow-path:{self.start}"
+        import hashlib
+
         digest = hashlib.sha256(repr(self.table).encode()).hexdigest()[:8]
         return f"table:{len(self.table)}x{len(self.table)}:{digest}"
 

@@ -44,7 +44,7 @@ from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING
 
 from .errors import GraphSizeError
-from .graphs import Adjacency, DiGraph, UndiGraph, row_sums, to_symmetric_digraph
+from .graphs import ContractedMatrix, DiGraph, UndiGraph, row_sums, to_symmetric_digraph
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -66,7 +66,7 @@ _CHUNK_BITS = 13
 _LAYER_CHUNK = 4096
 
 
-def ham_bruteforce(m: Adjacency) -> int:
+def ham_bruteforce(m: ContractedMatrix) -> int:
     """Count directed Hamiltonian cycles by the defining permutation sum.
 
     Sums the product a[k1,k2] a[k2,k3] ... a[kn,k1] over all orderings of the
@@ -93,7 +93,7 @@ def ham_bruteforce(m: Adjacency) -> int:
     return total
 
 
-def ham_dp(m: Adjacency) -> int:
+def ham_dp(m: ContractedMatrix) -> int:
     """Count directed Hamiltonian cycles by subset dynamic programming.
 
     Counts directed paths from vertex 1 over (visited-set, endpoint) states
@@ -110,7 +110,7 @@ def ham_dp(m: Adjacency) -> int:
     return _from_residues(m, _ham_dp_residue)
 
 
-def permanent_ryser(m: Adjacency) -> int:
+def permanent_ryser(m: ContractedMatrix) -> int:
     """Exact permanent via inclusion-exclusion over column subsets.
 
     Each chunk fixes the high columns of a subset and takes every set of
@@ -125,7 +125,7 @@ def permanent_ryser(m: Adjacency) -> int:
     return _from_residues(m, _permanent_residue)
 
 
-def _ham_dp_small(m: Adjacency) -> int:
+def _ham_dp_small(m: ContractedMatrix) -> int:
     """``ham_dp`` for 2 <= n <= ``SMALL_N``, in Python integers.
 
     Vertex 1 is the start, and vertices 2..n are bits 0..k-1 of a subset S.
@@ -150,7 +150,7 @@ def _ham_dp_small(m: Adjacency) -> int:
     return sum(f[v] >> bits * ((1 << k) - 1) for v in range(k) if rows[v + 1] & 1)
 
 
-def _permanent_small(m: Adjacency) -> int:
+def _permanent_small(m: ContractedMatrix) -> int:
     """``permanent_ryser`` for n <= ``SMALL_N``: Ryser's formula in Python integers."""
     n = m.n
     total = 0
@@ -164,7 +164,7 @@ def _permanent_small(m: Adjacency) -> int:
     return total
 
 
-def _from_residues(m: Adjacency, residue: Callable[[Adjacency, int], int]) -> int:
+def _from_residues(m: ContractedMatrix, residue: Callable[[ContractedMatrix, int], int]) -> int:
     """The exact value of a count that ``m``'s Bregman cap bounds.
 
     ``residue(m, 0)`` is the count modulo 2^64 and ``residue(m, p)`` the count
@@ -185,7 +185,7 @@ def _from_residues(m: Adjacency, residue: Callable[[Adjacency, int], int]) -> in
     return count
 
 
-def _ham_dp_residue(m: Adjacency, p: int) -> int:
+def _ham_dp_residue(m: ContractedMatrix, p: int) -> int:
     """Hamiltonian cycles of ``m`` (n >= 2) modulo p, or modulo 2^64 if p = 0.
 
     The last layer of ``_ham_dp_layers`` holds, for each endpoint w, the paths
@@ -198,7 +198,7 @@ def _ham_dp_residue(m: Adjacency, p: int) -> int:
     return sum(int(layer[v, 0]) for v in range(m.n - 1) if rows[v + 1] & 1) % (p or 1 << 64)
 
 
-def _ham_dp_layers(m: Adjacency, p: int) -> Iterator[np.ndarray]:
+def _ham_dp_layers(m: ContractedMatrix, p: int) -> Iterator[np.ndarray]:
     """The popcount layers L = 1..n-1 of the subset DP, modulo p (2^64 if 0).
 
     Vertex 1 is the start, and vertices 2..n are bits 0..k-1 of a subset.
@@ -251,7 +251,7 @@ def _ham_dp_layers(m: Adjacency, p: int) -> Iterator[np.ndarray]:
         yield layer
 
 
-def _permanent_residue(m: Adjacency, p: int) -> int:
+def _permanent_residue(m: ContractedMatrix, p: int) -> int:
     """Ryser's formula for the permanent modulo p, or modulo 2^64 if p = 0.
 
     perm = sum over column sets S of (-1)^(n-|S|) prod_i (row i's sum over S).

@@ -4,46 +4,27 @@ contraction, and deterministic generators.
 Directed graphs are stored as packed bit rows: ``rows[u]`` is an integer whose
 bit ``v`` is set iff the arc ``u -> v`` exists (0-based internally).  Vertex
 labels in every public signature are 1-based.  Bit rows keep row scans, the
-subset dynamic program, and the permanent cheap, at the price of a hard cap of
-64 vertices (lowerable through the ``HAMB_MAX_N`` environment variable, never
-raisable).  A ``DiGraph`` is a ``ContractedMatrix``, the 0/1 matrix that
-contraction produces, that also obeys the cap and has a zero diagonal.  The
-graph file formats live in :mod:`hamb.io`.
+subset dynamic program, and the permanent cheap, at the price of a fixed cap
+of ``HARD_MAX_N`` = 64 vertices.  A ``DiGraph`` is a ``ContractedMatrix``, the
+0/1 matrix that contraction produces, that also obeys the cap and has a zero
+diagonal.  The graph file formats live in :mod:`hamb.io`.
 """
 from __future__ import annotations
 
-import os
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import GraphSizeError
 
 HARD_MAX_N = 64
-MAX_N_ENV = "HAMB_MAX_N"
 
 GRAPH_KINDS = ("undirected", "symmetric-digraph", "digraph")
 FAMILIES = ("complete", "cycle", "path")
 
 
-def max_vertices() -> int:
-    """Current vertex cap: 64, optionally lowered via HAMB_MAX_N."""
-    raw = os.environ.get(MAX_N_ENV)
-    if raw is None:
-        return HARD_MAX_N
-    try:
-        value = int(raw)
-    except ValueError:
-        raise GraphSizeError(f"{MAX_N_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise GraphSizeError(f"{MAX_N_ENV} must be >= 1, got {value}")
-    return min(value, HARD_MAX_N)
-
-
 def _check_vertex_count(n: int) -> None:
     check_integer(n, "vertex count", 1)
-    cap = max_vertices()
-    if n > cap:
-        note = "" if cap == HARD_MAX_N else f" (lowered by {MAX_N_ENV})"
-        raise GraphSizeError(f"n={n} exceeds the vertex cap of {cap}{note}")
+    if n > HARD_MAX_N:
+        raise GraphSizeError(f"n={n} exceeds the vertex cap of {HARD_MAX_N}")
 
 
 class ContractedMatrix(NamedTuple("ContractedMatrix", [("n", int), ("rows", tuple[int, ...])])):
@@ -108,8 +89,6 @@ class DiGraph(ContractedMatrix):
             if self.rows[u] >> v & 1
         ]
 
-
-Adjacency = ContractedMatrix  # a DiGraph is one too
 
 
 class UndiGraph(NamedTuple("UndiGraph", [("n", int), ("edges", frozenset[tuple[int, int]])])):
@@ -182,7 +161,7 @@ def is_symmetric(g: DiGraph) -> bool:
     )
 
 
-def row_sums(g: Adjacency) -> tuple[int, ...]:
+def row_sums(g: ContractedMatrix) -> tuple[int, ...]:
     """Out-degree of every vertex (number of ones per row)."""
     return tuple(row.bit_count() for row in g.rows)
 
@@ -200,7 +179,7 @@ def _delete_bit(x: int, pos: int) -> int:
     return (x & ((1 << pos) - 1)) | ((x >> (pos + 1)) << pos)
 
 
-def contract(m: Adjacency, i: int, j: int) -> ContractedMatrix:
+def contract(m: ContractedMatrix, i: int, j: int) -> ContractedMatrix:
     """Commit to the arc i -> j: swap columns i and j, then delete row i and
     column i (1-based).  The result is one dimension smaller and may carry a
     diagonal one where the cycle-closing column was parked."""

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import GraphSizeError, ParseError, PolicyError
-from .graphs import DiGraph, UndiGraph, build_digraph, build_undigraph, max_vertices
+from .graphs import HARD_MAX_N, DiGraph, UndiGraph, build_digraph, build_undigraph
 
 if TYPE_CHECKING:
     from .estimator import RowOrderPolicy
@@ -54,8 +54,8 @@ def _parse_text(text: str) -> DiGraph | UndiGraph:
         raise ParseError(f"n must be >= 1, got {n}", line=1)
     if m < 0:
         raise ParseError(f"m must be >= 0, got {m}", line=1)
-    if n > max_vertices():
-        raise GraphSizeError(f"line 1: n={n} exceeds the vertex cap of {max_vertices()}")
+    if n > HARD_MAX_N:
+        raise GraphSizeError(f"line 1: n={n} exceeds the vertex cap of {HARD_MAX_N}")
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         toks = list(re.finditer(r"\S+", raw))
@@ -115,8 +115,8 @@ def _parse_object(text: str) -> DiGraph | UndiGraph:
         raise ParseError(f"n must be a positive integer, got {n!r}")
     if kind not in ("directed", "undirected"):
         raise ParseError(f"kind must be 'directed' or 'undirected', got {kind!r}")
-    if n > max_vertices():
-        raise GraphSizeError(f"n={n} exceeds the vertex cap of {max_vertices()}")
+    if n > HARD_MAX_N:
+        raise GraphSizeError(f"n={n} exceeds the vertex cap of {HARD_MAX_N}")
     if not isinstance(edges, list):
         raise ParseError("edges must be a list of [u, v] pairs")
     pairs: list[tuple[int, int]] = []
@@ -151,7 +151,7 @@ def load_table_policy(path: str) -> RowOrderPolicy:
 
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise PolicyError(f"cannot read table file {path}: {e}") from None
     rows: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

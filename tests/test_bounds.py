@@ -162,6 +162,19 @@ class TestDominance:
             assert symmetric_product_value(r) <= minc_bound(r).exact
 
 
+@pytest.mark.parametrize("fn", [minc_bound, bregman_bound, symmetric_product_value, dominance_compare])
+@pytest.mark.parametrize(
+    "degrees",
+    [(1.9, 2), (2.5, 2, 2), ("3", 3, 3), (True, 2, 2), (np.int64(2), 2, 2), (1, -1)],
+    ids=["float", "half", "str", "bool", "numpy-int", "negative"],
+)
+def test_degrees_must_be_plain_ints(fn, degrees):
+    # int() would truncate 2.5 to 2 and put the symmetric value below the true
+    # product; a degree is a Python int, never a bool, float, str or numpy int.
+    with pytest.raises(ValueError, match="degree must be an integer >= 0"):
+        fn(degrees)
+
+
 class TestRoundingSoundness:
     def test_exact_bounds_have_dominating_logs(self):
         rng = np.random.default_rng(66)

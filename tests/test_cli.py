@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from hamb import ParseError, GraphSizeError, UndiGraph, DiGraph, gen_gnp, gen_family, selftest
+from hamb import ParseError, GraphSizeError, UndiGraph, DiGraph, cli, gen_gnp, gen_family, ham_dp, selftest
 from hamb.io import parse_graph, serialize_graph
 
 from conftest import run_cli
@@ -299,11 +299,14 @@ class TestExitCodes:
         assert res.returncode == 3
         assert "10" in res.stderr
 
-    def test_env_var_lowers_cap(self, tmp_path):
+    def test_environment_cannot_lower_cap(self, tmp_path):
+        # The vertex cap is the constant 64; no environment variable moves it.
+        g = gen_gnp(10, 0.3, 1, "digraph")
         path = tmp_path / "g.txt"
-        path.write_text(serialize_graph(gen_gnp(10, 0.3, 1, "digraph")))
+        path.write_text(serialize_graph(g))
         res = run_cli("exact", "--input", str(path), env_extra={"HAMB_MAX_N": "5"})
-        assert res.returncode == 3
+        assert res.returncode == 0, res.stderr
+        assert f"count: {ham_dp(g)}" in res.stdout.splitlines()
 
     def test_policy_error_truncated_table(self, tmp_path):
         graph = tmp_path / "c4.txt"
@@ -325,6 +328,16 @@ class TestExitCodes:
                       "--policy", f"table:{table}")
         assert res.returncode == 2
 
+    def test_policy_error_table_not_utf8(self, tmp_path):
+        graph = tmp_path / "c4.txt"
+        graph.write_text(serialize_graph(gen_family("cycle", 4, "undirected")))
+        table = tmp_path / "table.txt"
+        table.write_bytes(b"\xff\xfe1 1 1 1\n")
+        res = run_cli("estimate", "--input", str(graph), "--trials", "5",
+                      "--policy", f"table:{table}")
+        assert res.returncode == 2
+        assert res.stderr.startswith("policy error:"), res.stderr
+
     def test_table_policy_happy_path(self, tmp_path):
         # every branch of the triangle returns 2, so the mean is exact
         graph = tmp_path / "c3.txt"
@@ -338,10 +351,15 @@ class TestExitCodes:
 
 
 class TestSelftestCommand:
-    def test_negative_control(self):
-        res = run_cli("selftest", "--corrupt-diagonal")
-        assert res.returncode == 4
-        assert "graph-invariants: FAIL" in res.stdout
+    def test_negative_control(self, monkeypatch, capsys):
+        # A digraph with a diagonal one, injected past constructor validation.
+        fault = tuple.__new__(DiGraph, (3, (0b011, 0b100, 0b010)))
+        battery = selftest._graph_battery
+        monkeypatch.setattr(selftest, "_graph_battery", lambda: [*battery(), fault])
+        assert cli.main(["selftest"]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "graph-invariants: FAIL (diagonal entry set at vertex 1)"
+        assert lines[-1] == "selftest: FAIL"
 
     def test_vector_draws_equal_scalar_draws(self):
         # Generator.integers takes one uint32 per draw whether it draws one
@@ -431,7 +449,7 @@ class TestLazyImports:
             (("gen", "--model", "complete", "--n", "12", "--out", "out.txt"),
              ("dataclasses", "inspect", "hamb.estimator", "hamb.exact", "hamb.bounds", "json")),
             (("estimate", "--trials", "5", "--input", "triangle.txt"), ("dataclasses", "hamb.exact", "hamb.bounds")),
-            (("compare", "--family", "cycle", "--n", "3..5", "--json"), ("dataclasses", "csv")),
+            (("compare", "--family", "cycle", "--n", "3..5", "--json"), ("dataclasses", "csv", "hashlib")),
             (("selftest",), ("dataclasses",)),
         ],
         ids=["bounds-text", "bounds-n20-json", "exact-brute", "gen-family", "estimate", "compare-json", "selftest"],

@@ -17,7 +17,6 @@ from hamb import (
     gen_family,
     gen_gnp,
     is_symmetric,
-    max_vertices,
     row_sums,
     to_symmetric_digraph,
 )
@@ -196,22 +195,6 @@ class TestVertexCap:
 
     def test_at_cap_ok(self):
         assert build_digraph(64, [(1, 64)]).n == 64
-
-    def test_env_lowers(self, monkeypatch):
-        monkeypatch.setenv("HAMB_MAX_N", "5")
-        assert max_vertices() == 5
-        with pytest.raises(GraphSizeError):
-            build_digraph(6, [])
-        assert build_digraph(5, []).n == 5
-
-    def test_env_cannot_raise(self, monkeypatch):
-        monkeypatch.setenv("HAMB_MAX_N", "100")
-        assert max_vertices() == 64
-
-    def test_env_malformed(self, monkeypatch):
-        monkeypatch.setenv("HAMB_MAX_N", "lots")
-        with pytest.raises(GraphSizeError):
-            max_vertices()
 
 
 class TestCycleWitness:
