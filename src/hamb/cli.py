@@ -10,7 +10,11 @@ a command runs whatever its input (and ``hamb.exact`` for every ``compare``),
 with numpy for ``estimate`` and ``selftest``.  A module that only some inputs
 need loads where it is used, inside the clock: numpy and ``hamb.bounds`` for an
 exact count above n = 12, ``hamb.exact`` for the count that ``bounds`` prints
-up to n = 16, ``json`` for ``--json``, ``hashlib`` for a file digest.
+up to n = 16, ``json`` for ``--json``, ``hashlib`` for a file digest.  Seeded
+draws (``gen`` and ``compare`` on G(n, p), ``selftest``) come from
+:mod:`hamb.pcg`, so they load no ``numpy.random``; ``gen`` loads no numpy at
+all.  The parser holds every subcommand but only the arguments of the one it
+runs.
 Counts are printed as decimal strings, exact rationals as
 ``numerator/denominator``, reals with 15 significant digits.
 
@@ -339,46 +343,52 @@ def _cmd_selftest(args) -> int:
 # Parser and dispatch
 
 
-def _build_parser() -> _Parser:
+def _build_parser(cmd: str | None) -> _Parser:
+    """The parser of every subcommand, with the arguments only of ``cmd`` when
+    it names one (a process runs one command), else of them all."""
     parser = _Parser(prog="hamb", description="Count, estimate, and bound Hamiltonian cycles.")
     sub = parser.add_subparsers(dest="cmd", required=True)
+
+    def add(name: str, summary: str) -> _Parser | None:
+        p = sub.add_parser(name, help=summary)
+        return p if cmd == name or cmd not in _COMMANDS else None
 
     def add_input_flags(p):
         p.add_argument("--input", required=True, help="graph file path")
         p.add_argument("--format", choices=["text", "object"], default=None, help="input format (default: sniff)")
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
 
-    p_exact = sub.add_parser("exact", help="exact cycle count or permanent")
-    add_input_flags(p_exact)
-    p_exact.add_argument("--method", choices=["dp", "brute", "permanent"], default="dp")
+    if p := add("exact", "exact cycle count or permanent"):
+        add_input_flags(p)
+        p.add_argument("--method", choices=["dp", "brute", "permanent"], default="dp")
 
-    p_est = sub.add_parser("estimate", help="unbiased Monte Carlo estimate")
-    add_input_flags(p_est)
-    p_est.add_argument("--trials", type=int, required=True)
-    p_est.add_argument("--seed", type=int, default=0)
-    p_est.add_argument("--policy", default="ascending", help="ascending | follow-path:<v> | table:<path>")
+    if p := add("estimate", "unbiased Monte Carlo estimate"):
+        add_input_flags(p)
+        p.add_argument("--trials", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--policy", default="ascending", help="ascending | follow-path:<v> | table:<path>")
 
-    p_bounds = sub.add_parser("bounds", help="upper bounds and tightness")
-    add_input_flags(p_bounds)
+    if p := add("bounds", "upper bounds and tightness"):
+        add_input_flags(p)
 
-    p_cmp = sub.add_parser("compare", help="sweep bounds across a graph family")
-    p_cmp.add_argument("--family", choices=list(FAMILIES) + ["gnp"], required=True)
-    p_cmp.add_argument("--n", required=True, help="range '<a>..<b>' or a single n")
-    p_cmp.add_argument("--p", type=float, default=None)
-    p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--json", action="store_true")
+    if p := add("compare", "sweep bounds across a graph family"):
+        p.add_argument("--family", choices=list(FAMILIES) + ["gnp"], required=True)
+        p.add_argument("--n", required=True, help="range '<a>..<b>' or a single n")
+        p.add_argument("--p", type=float, default=None)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--json", action="store_true")
 
-    p_gen = sub.add_parser("gen", help="write a generated graph file")
-    p_gen.add_argument("--model", choices=list(FAMILIES) + ["gnp"], required=True)
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--p", type=float, default=None)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--kind", choices=list(GRAPH_KINDS), default="undirected")
-    p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--format", choices=["text", "object"], default="text")
-    p_gen.add_argument("--json", action="store_true")
+    if p := add("gen", "write a generated graph file"):
+        p.add_argument("--model", choices=list(FAMILIES) + ["gnp"], required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--p", type=float, default=None)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--kind", choices=list(GRAPH_KINDS), default="undirected")
+        p.add_argument("--out", required=True)
+        p.add_argument("--format", choices=["text", "object"], default="text")
+        p.add_argument("--json", action="store_true")
 
-    sub.add_parser("selftest", help="run the built-in verification suites")
+    add("selftest", "run the built-in verification suites")
 
     return parser
 
@@ -391,14 +401,15 @@ _COMMANDS = {
     "bounds": (_cmd_bounds, (".bounds",)),
     "compare": (_cmd_compare, (".exact", ".bounds")),
     "gen": (_cmd_gen, ()),
-    "selftest": (_cmd_selftest, (".selftest",)),
+    "selftest": (_cmd_selftest, (".selftest", "numpy")),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    _, preload = _COMMANDS.get(argv[0] if argv else None, (None, ()))
+    cmd = argv[0] if argv else None
+    parser = _build_parser(cmd)
+    _, preload = _COMMANDS.get(cmd, (None, ()))
     for module in preload:
         importlib.import_module(module, __package__)
     started = time.perf_counter()

@@ -29,13 +29,15 @@ lockstep blocks of ``_BLOCK`` = 1024 trials instead: numpy arrays hold every
 trial's working state, each step draws for all live trials at once, and trials
 whose candidate set empties drop out of the block.  The working rows and column
 labels are ``uint8`` (n <= 64), and so is the running count that ranks each
-trial's candidates.  The block computes its trials' PCG64 words itself,
-following numpy's SeedSequence, PCG64 and ``Generator.integers`` algorithms.
-This replica keeps ``numpy.random`` out of an ``estimate`` process, which
-imports it only to redo a trial whose draw Lemire's method rejects: on
-G(20, 0.4) importing it raises the process's peak RSS from 34 to 37 MB.  The
-block reads each ``uint64`` word as two ``uint32`` halves through a
-little-endian view, low half first on any host, as ``integers`` consumes them.
+trial's candidates.  The block computes its trials' PCG64 words itself: it
+seeds them with :mod:`hamb.pcg`, the numpy-free replica of SeedSequence and
+PCG64, and steps the 128-bit LCG on ``uint64`` halves, then draws as
+``Generator.integers`` does.  This keeps ``numpy.random`` out of an
+``estimate`` process, which imports it only to redo a trial whose draw
+Lemire's method rejects: on G(20, 0.4) importing it raises the process's peak
+RSS from 34 to 37 MB.  The block reads each ``uint64`` word as two ``uint32``
+halves through a little-endian view, low half first on any host, as
+``integers`` consumes them.
 So every trial takes exactly the value the reference path gives it and the
 report equals, byte for byte, the report of running the trials one at a time.
 """
@@ -50,6 +52,7 @@ import numpy as np
 
 from .errors import PolicyError
 from .graphs import CycleWitness, DiGraph, check_integer
+from .pcg import _M32, _PCG_MULT_HI, _PCG_MULT_LO, _absorb, _pcg64_seed, _seed_pool
 
 
 class RowOrderPolicy(NamedTuple("RowOrderPolicy", [("kind", str), ("start", int | None),
@@ -272,65 +275,15 @@ def enumerate_branches(g: DiGraph, policy: RowOrderPolicy) -> Iterator[tuple[Fra
 # --- Lockstep kernel -------------------------------------------------------
 #
 # The words of ``trial_stream(seed, t)`` are computed the way numpy computes
-# them: SeedSequence's entropy pool (numpy/random/bit_generator.pyx), PCG64's
+# them: SeedSequence's entropy pool and PCG64's seeding (``hamb.pcg``), PCG64's
 # XSL-RR generator (pcg64.h), and ``Generator.integers(w)``, which is Lemire's
 # method on the uint32 halves, low half first, of PCG64's raw outputs
 # (distributions.c) and reads nothing when ``w == 1``.
 
 _BLOCK = 1024  # trials per lockstep block; 2048 raises a process's peak RSS
 MAX_TRIALS = 1 << 64  # trial indices are uint64
-_M32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 # Lemire rejects a draw of width w when the low half of x * w is below 2**32 % w.
 _LEMIRE_THRESHOLD = np.array([0] + [(1 << 32) % w for w in range(1, 65)], dtype=np.uint64)
-
-
-def _hashmix(value, hash_const: int, mult: int = _MULT_A):
-    """SeedSequence's hashmix on ints or uint64 arrays; returns the next constant too."""
-    value = value ^ hash_const
-    hash_const = hash_const * mult & _M32
-    value = value * hash_const & _M32
-    return value ^ value >> 16, hash_const
-
-
-def _mix(x, y):
-    value = (_MIX_L * x - _MIX_R * y) & _M32
-    return value ^ value >> 16
-
-
-def _absorb(pool: list, hash_const: int, word) -> tuple[list, int]:
-    """Mix one entropy word past the pool size into every pool word."""
-    out = []
-    for p in pool:
-        h, hash_const = _hashmix(word, hash_const)
-        out.append(_mix(p, h))
-    return out, hash_const
-
-
-def _seed_pool(seed: int) -> tuple[list[int], int]:
-    """SeedSequence pool after the run entropy ``seed``, shared by every trial.
-
-    A spawn key pads the run entropy to the pool size, so the trial index is
-    always absorbed after it, by :func:`_absorb`.
-    """
-    words = [seed >> 32 * i & _M32 for i in range(max(_POOL_SIZE, -(-seed.bit_length() // 32)))]
-    hash_const = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                h, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], h)
-    for word in words[_POOL_SIZE:]:
-        pool, hash_const = _absorb(pool, hash_const, word)
-    return pool, hash_const
 
 
 def _mul_add128(hi, lo, inc_hi, inc_lo):
@@ -357,14 +310,8 @@ def _stream_words(seed: int, trials: np.ndarray, count: int) -> np.ndarray:
     if wide.any():
         wide_pool = _absorb(pool, next_const, trials >> 32)[0]
         pool = [np.where(wide, w, p) for p, w in zip(pool, wide_pool)]
-    hash_const = _INIT_B
-    state = []  # SeedSequence.generate_state(8) as uint32 words
-    for i in range(8):
-        value, hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
-        state.append(value)
-    init_hi, init_lo, seq_hi, seq_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
-    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    del pool, state, seq_hi, seq_lo  # a block's (trials,) temporaries set its peak memory
+    init_hi, init_lo, inc_hi, inc_lo = _pcg64_seed(pool)
+    del pool  # a block's (trials,) temporaries set its peak memory
     # Seeding steps the LCG from state 0 (giving inc), adds initstate and steps again.
     lo = inc_lo + init_lo
     hi, lo = _mul_add128(inc_hi + init_hi + (lo < init_lo), lo, inc_hi, inc_lo)

@@ -241,19 +241,21 @@ class CycleWitness(NamedTuple):
 def gen_gnp(n: int, p: float, seed: int, kind: str = "undirected") -> DiGraph | UndiGraph:
     """Seeded Erdos-Renyi graph: every candidate edge kept with probability p.
 
-    The stream is PCG64 seeded with ``SeedSequence(seed)``; candidates are
-    drawn in a fixed order (pairs u < v for the undirected kinds, row-major
-    ordered pairs for plain digraphs), so output is a pure function of the
-    arguments.  The symmetric-digraph kind doubles the undirected draw.
+    Candidate ``i`` is kept when the ``i``-th ``random()`` of the stream
+    ``Generator(PCG64(SeedSequence(seed)))`` is below p; :class:`hamb.pcg.Stream`
+    draws it without numpy.  Candidates come in a fixed order (pairs u < v for
+    the undirected kinds, row-major ordered pairs for plain digraphs), so
+    output is a pure function of the arguments.  The symmetric-digraph kind
+    doubles the undirected draw.
     """
     _check_vertex_count(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if kind not in GRAPH_KINDS:
         raise ValueError(f"kind must be one of {GRAPH_KINDS}, got {kind!r}")
-    import numpy as np
+    from .pcg import Stream
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=check_integer(seed, "seed"))))
+    rng = Stream(check_integer(seed, "seed"))
     if kind == "digraph":
         edges = [
             (u + 1, v + 1)

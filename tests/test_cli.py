@@ -8,6 +8,7 @@ import pytest
 
 from hamb import ParseError, GraphSizeError, UndiGraph, DiGraph, cli, gen_gnp, gen_family, ham_dp, selftest
 from hamb.io import parse_graph, serialize_graph
+from hamb.pcg import Stream
 
 from conftest import run_cli
 
@@ -224,6 +225,27 @@ class TestExitCodes:
     def test_usage_error_unknown_command(self):
         assert run_cli("frobnicate").returncode == 1
 
+    @pytest.mark.parametrize(
+        "argv, code", [(["-h"], 0), (["gen", "-h"], 0), (["exact", "--bogus"], 1), (["nosuch"], 1)]
+    )
+    def test_one_command_parser_answers_as_the_whole_tree(self, monkeypatch, capsys, argv, code):
+        # main adds only the arguments of the command it runs; help and
+        # usage errors must read as from the parser with every command's.
+        def outcome():
+            try:
+                got = cli.main(list(argv))
+            except SystemExit as e:
+                got = e.code
+            return (got, *capsys.readouterr())
+
+        one = outcome()
+        whole_tree = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda cmd: whole_tree(None))
+        assert one == outcome()
+        assert one[0] == code
+        exact = whole_tree("gen")._subparsers._group_actions[0].choices["exact"]
+        assert [a.dest for a in exact._actions] == ["help"]  # gen's parser skips exact's flags
+
     def test_usage_error_bad_policy_spec(self, tmp_path):
         path = tmp_path / "c3.txt"
         path.write_text(serialize_graph(gen_family("cycle", 3, "undirected")))
@@ -363,15 +385,16 @@ class TestSelftestCommand:
 
     def test_vector_draws_equal_scalar_draws(self):
         # Generator.integers takes one uint32 per draw whether it draws one
-        # number per call or a row per call, so the suites check the same
-        # degree sequences and tables as the scalar loops they replace.
+        # number per call or a row per call, so the suites, which draw rows
+        # from hamb.pcg streams, check the same degree sequences and tables
+        # as scalar loops over numpy's own generator.
         rng = np.random.default_rng(99)
         scalar = []
         for _ in range(2000):
             n = int(rng.integers(3, 51))
             scalar.append([int(rng.integers(0, n)) for _ in range(n)])
         assert list(selftest._degree_sequences()) == scalar
-        vector_rng, scalar_rng = np.random.default_rng(7), np.random.default_rng(7)
+        vector_rng, scalar_rng = Stream(7), np.random.default_rng(7)
         for n in [4] * 64 + [5, 6] * 5:  # the graph sizes of _suite_unbiasedness, in order
             tables = [p.table for p in selftest._policies_for(n, vector_rng) if p.kind == "table"]
             assert tables == [
@@ -415,6 +438,7 @@ class TestLazyImports:
             (("exact", "--method", "dp", "--input", "k13.txt"), True),
             (("gen", "--model", "complete", "--n", "12", "--out", "out.txt"), False),
             (("estimate", "--trials", "5", "--input", "triangle.txt"), True),
+            (("gen", "--model", "gnp", "--n", "20", "--p", "0.4", "--seed", "3", "--out", "out.txt"), False),
         ],
     )
     def test_numpy_loads_only_for_numpy_work(self, tmp_path, argv, loads_numpy):
@@ -424,16 +448,26 @@ class TestLazyImports:
         assert res.stdout.splitlines()[-1] == str(loads_numpy)
         assert res.stderr.splitlines()[-1].startswith("elapsed-ms: ")
 
-    @pytest.mark.parametrize("policy", ["ascending", "follow-path:1"])
-    def test_estimate_never_imports_numpy_random(self, tmp_path, policy):
-        # The lockstep kernel computes its PCG64 words itself; importing
-        # numpy.random would cost an estimate process ~3 MB of peak RSS.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("estimate", "--trials", "3000", "--policy", "ascending", "--input", "g.txt"),
+            ("estimate", "--trials", "3000", "--policy", "follow-path:1", "--input", "g.txt"),
+            ("compare", "--family", "gnp", "--n", "3..14", "--p", "0.5", "--seed", "3"),
+            ("selftest",),
+        ],
+        ids=["ascending", "follow-path:1", "compare-gnp", "selftest"],
+    )
+    def test_estimate_never_imports_numpy_random(self, tmp_path, argv):
+        # The lockstep kernel computes its PCG64 words itself, and seeded
+        # draws come from hamb.pcg; importing numpy.random would cost an
+        # estimate process ~3 MB of peak RSS.  compare counts past n = 12 and
+        # selftest runs the numpy kernels, so both load numpy itself.
         probe = run_cli(entry=("-c", "import numpy, sys; print('numpy.random' in sys.modules)"))
         if probe.stdout.strip() == "True":
             pytest.skip("a bare 'import numpy' loads numpy.random on this numpy")
         (tmp_path / "g.txt").write_text(serialize_graph(gen_gnp(20, 0.4, 3, "undirected")))
-        res = run_cli("estimate", "--trials", "3000", "--policy", policy, "--input", "g.txt",
-                      cwd=tmp_path, entry=("-c", _REPORT_MODULE.format(("numpy.random",))))
+        res = run_cli(*argv, cwd=tmp_path, entry=("-c", _REPORT_MODULE.format(("numpy.random",))))
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == "False"
 
