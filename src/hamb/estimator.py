@@ -25,14 +25,17 @@ feeding PCG64.
 
 ``trial_with_policy`` runs one trial in plain Python; it is the reference path,
 and ``enumerate_branches`` replays it.  ``estimate`` runs the trials in
-lockstep blocks of ``_BLOCK`` = 1024 trials instead: numpy arrays hold every
+lockstep blocks of ``_BLOCK`` = 2048 trials instead: numpy arrays hold every
 trial's working state, each step draws for all live trials at once, and trials
-whose candidate set empties drop out of the block.  The working rows and column
+whose candidate set empties drop out of the block.  A step at which no trial
+drops out compacts nothing, and a step at which every trial expands its top
+row deletes that row by a slice.  Only the trials of non-zero value reach the
+Python aggregation; the zeros are counted.  The working rows and column
 labels are ``uint8`` (n <= 64), and so is the running count that ranks each
-trial's candidates.  The block computes its trials' PCG64 words itself: it
-seeds them with :mod:`hamb.pcg`, the numpy-free replica of SeedSequence and
-PCG64, and steps the 128-bit LCG on ``uint64`` halves, then draws as
-``Generator.integers`` does.  This keeps ``numpy.random`` out of an
+trial's candidates.  The block computes its trials' PCG64 words itself, 1024
+trials at a time: it seeds them with :mod:`hamb.pcg`, the numpy-free replica
+of SeedSequence and PCG64, and steps the 128-bit LCG on ``uint64`` halves,
+then draws as ``Generator.integers`` does.  This keeps ``numpy.random`` out of an
 ``estimate`` process, which imports it only to redo a trial whose draw
 Lemire's method rejects: on G(20, 0.4) importing it raises the process's peak
 RSS from 34 to 37 MB.  The block reads each ``uint64`` word as two ``uint32``
@@ -280,7 +283,12 @@ def enumerate_branches(g: DiGraph, policy: RowOrderPolicy) -> Iterator[tuple[Fra
 # method on the uint32 halves, low half first, of PCG64's raw outputs
 # (distributions.c) and reads nothing when ``w == 1``.
 
-_BLOCK = 1024  # trials per lockstep block; 2048 raises a process's peak RSS
+# Trials per lockstep block.  On undirected G(20, 0.4), 10k trials, 2048 in
+# place of 1024 took ~11 % off ``estimate`` over the three policies, and
+# raised an ``estimate`` process's peak RSS from 33.4 to 33.8 MB: the
+# candidate gather casts its (2048, n) index to intp.
+_BLOCK = 2048
+_SEED_SLICE = 1024  # trials seeded per _stream_words call, which bounds its temporaries
 MAX_TRIALS = 1 << 64  # trial indices are uint64
 # Lemire rejects a draw of width w when the low half of x * w is below 2**32 % w.
 _LEMIRE_THRESHOLD = np.array([0] + [(1 << 32) % w for w in range(1, 65)], dtype=np.uint64)
@@ -323,15 +331,16 @@ def _stream_words(seed: int, trials: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _choose(cand, u32, live, pos, widths, step):
+def _choose(cand, u32, live, pos, widths, step, redo):
     """Draw one candidate column for every live trial, as the scalar trial does.
 
     ``cand`` holds each trial's candidate mask, whose true positions in
     ascending order are the scalar ``cand`` list.  Records the candidate counts
     in ``widths`` and advances ``pos``, each trial's next uint32, in place.
-    Returns the mask of trials that go on, the chosen position for each of
-    them, and the trials whose draw Lemire's method rejects; those are redone
-    on the scalar path, which reads on in the stream.
+    Returns the trials that go on, as a mask or, when every trial does, as the
+    slice ``[:]`` whose compaction is a view, and the chosen position for each
+    of them.  Appends to ``redo`` the trials whose draw Lemire's method
+    rejects; those are redone on the scalar path, which reads on in the stream.
     """
     ranks = np.cumsum(cand, axis=1, dtype=np.uint8)  # at most 64 columns
     width = ranks[:, -1]
@@ -339,10 +348,14 @@ def _choose(cand, u32, live, pos, widths, step):
     m = np.multiply(u32[live, pos], width, dtype=np.uint64)
     rejected = (m & _M32) < _LEMIRE_THRESHOLD[width]
     pos += width > 1
-    keep = (width > 0) & ~rejected
+    keep = width > 0
+    if rejected.any():
+        redo += live[rejected].tolist()
+        keep &= ~rejected
+    if keep.all():
+        keep = slice(None)
     pick = (m[keep] >> 32).astype(np.uint8)
-    chosen = np.argmax(ranks[keep] > pick[:, None], axis=1)
-    return keep, chosen, live[rejected]
+    return keep, np.argmax(ranks[keep] > pick[:, None], axis=1)
 
 
 def _walk(adj: np.ndarray, start: int, u32: np.ndarray):
@@ -360,8 +373,7 @@ def _walk(adj: np.ndarray, start: int, u32: np.ndarray):
     visited = np.zeros((blk, n), dtype=bool)
     visited[:, start] = True
     for step in range(n - 1):
-        keep, cur, rejected = _choose(adj[cur] & ~visited, u32, live, pos, widths, step)
-        redo += rejected.tolist()
+        keep, cur = _choose(adj[cur] & ~visited, u32, live, pos, widths, step, redo)
         live, pos, visited = live[keep], pos[keep], visited[keep]
         visited[np.arange(len(live)), cur] = True
     return live[adj[cur, start]], widths, redo
@@ -381,27 +393,36 @@ def _expand(adj: np.ndarray, order: np.ndarray, u32: np.ndarray):
     k = np.zeros(blk, dtype=np.intp)
     flat = adj.ravel()  # adj[u, label] is flat[u * n + label], and u * n + label < 2**12
     for step in range(n - 1):
-        at = np.arange(len(live))
         gpos = order[step, k]
-        cand = flat.take(rows[at, gpos].astype(np.uint16)[:, None] * n + labels)
-        cand[at, gpos] = False
-        keep, k, rejected = _choose(cand, u32, live, pos, widths, step)
-        redo += rejected.tolist()
-        live, pos, rows, labels, gpos = live[keep], pos[keep], rows[keep], labels[keep], gpos[keep]
+        # Every trial expands position 0 (each ascending step, and a table
+        # step where it happens): then the delete is a slice.
+        first = not gpos.any()
+        here = (slice(None), 0) if first else (np.arange(len(live)), gpos)
+        cand = flat.take(rows[here].astype(np.uint16)[:, None] * n + labels)
+        cand[here] = False
+        keep, k = _choose(cand, u32, live, pos, widths, step, redo)
+        live, pos, rows, labels = live[keep], pos[keep], rows[keep], labels[keep]
         at = np.arange(len(live))
-        labels[at, k] = labels[at, gpos]  # the swap, less the half that is deleted
-        rest = np.ones(rows.shape, dtype=bool)
-        rest[at, gpos] = False
-        shape = len(live), n - step - 1
-        rows, labels = rows[rest].reshape(shape), labels[rest].reshape(shape)
+        if first:
+            labels[at, k] = labels[:, 0]  # the swap, less the half that is deleted
+            rows, labels = rows[:, 1:], labels[:, 1:]
+        else:
+            gpos = gpos[keep]
+            labels[at, k] = labels[at, gpos]
+            rest = np.ones(rows.shape, dtype=bool)
+            rest[at, gpos] = False
+            shape = len(live), n - step - 1
+            rows, labels = rows[rest].reshape(shape), labels[rest].reshape(shape)
     return live[adj[rows[:, 0], labels[:, 0]]], widths, redo
 
 
-def _block_values(g: DiGraph, policy: RowOrderPolicy, seed: int, trials: range) -> Iterator[int]:
-    """``trial_with_policy(g, policy, trial_stream(seed, t)).value`` for each t, in lockstep.
+def _block_values(g: DiGraph, policy: RowOrderPolicy, seed: int, trials: range) -> Iterator[tuple[int, dict[int, int]]]:
+    """The values ``trial_with_policy(g, policy, trial_stream(seed, t)).value`` in lockstep.
 
-    Trial ``t`` runs in block ``t // _BLOCK``.  Each draw with two or more
-    candidates reads the trial's next uint32, and draws happen at steps
+    Yields one ``(size, values)`` per block: the block's ``size`` trials, and
+    ``values`` maps the offset of each trial whose value is not 0 to that
+    value.  Trial ``t`` runs in block ``t // _BLOCK``.  Each draw with two or
+    more candidates reads the trial's next uint32, and draws happen at steps
     0..n-2, so every read falls in the first n - 1 uint32s: the first n // 2
     raw words.  A rejected draw would read on; the trial is redone on the
     scalar path instead.
@@ -415,14 +436,17 @@ def _block_values(g: DiGraph, policy: RowOrderPolicy, seed: int, trials: range) 
     first = trials.start
     while first < trials.stop:
         stop = min((first // _BLOCK + 1) * _BLOCK, trials.stop)
-        raw = _stream_words(seed, np.arange(first, stop, dtype=np.uint64), g.n // 2)
+        raw = np.empty((stop - first, g.n // 2), dtype=np.uint64)
+        for at in range(first, stop, _SEED_SLICE):
+            until = min(at + _SEED_SLICE, stop)
+            raw[at - first:until - first] = _stream_words(seed, np.arange(at, until, dtype=np.uint64), g.n // 2)
         hits, widths, redo = kernel(raw.astype("<u8", copy=False).view("<u4"))
-        values = [0] * (stop - first)
-        for b in hits.tolist():
-            values[b] = math.prod(widths[b].tolist())
+        values = {b: math.prod(row) for b, row in zip(hits.tolist(), widths[hits].tolist())}
         for b in redo:
-            values[b] = trial_with_policy(g, policy, trial_stream(seed, first + b)).value
-        yield from values
+            value = trial_with_policy(g, policy, trial_stream(seed, first + b)).value
+            if value:
+                values[b] = value
+        yield stop - first, values
         first = stop
 
 
@@ -438,14 +462,12 @@ def estimate(g: DiGraph, policy: RowOrderPolicy, trials: int, seed: int) -> Esti
         raise ValueError(f"trials must be <= 2^64 (trial indices are uint64), got {trials}")
     check_integer(seed, "seed")
     _check_policy(g, policy)
-    total = 0
-    total_sq = 0
-    zeros = 0
-    for value in _block_values(g, policy, seed, range(trials)):
-        total += value
-        total_sq += value * value
-        if value == 0:
-            zeros += 1
+    total = total_sq = nonzero = 0
+    for _, values in _block_values(g, policy, seed, range(trials)):
+        for value in values.values():
+            total += value
+            total_sq += value * value
+        nonzero += len(values)
     mean = Fraction(total, trials)
     if trials > 1:
         variance = (Fraction(total_sq) - Fraction(total * total, trials)) / (trials - 1)
@@ -457,7 +479,7 @@ def estimate(g: DiGraph, policy: RowOrderPolicy, trials: int, seed: int) -> Esti
         mean=mean,
         sample_variance=variance,
         standard_error=math.sqrt(variance / trials),
-        zero_fraction=zeros / trials,
+        zero_fraction=(trials - nonzero) / trials,
         seed=seed,
         policy=policy.describe(),
     )

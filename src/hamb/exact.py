@@ -8,11 +8,13 @@ entries can only matter for a 1x1 matrix, since a cycle product never repeats
 an index).
 
 Up to n = ``SMALL_N`` (12), ``ham_dp`` and ``permanent_ryser`` run in plain
-Python, which at that size costs less than importing numpy.  The dynamic
-program keeps, for each endpoint, one Python integer whose fixed-width lanes
-are the path counts of every subset, so one integer addition updates all
-subsets at once; the permanent is Ryser's formula, subset by subset, on the
-bit rows.  Both compute in exact integers.
+Python, which at that size costs less than importing numpy.  Both are subset
+dynamic programs on Python integers whose fixed-width lanes hold one count
+per subset, so one integer operation updates all subsets at once, in exact
+integers.  The Hamiltonian program keeps one such integer per path endpoint;
+the permanent places the rows one at a time, and its lanes count the ways the
+rows placed so far can take exactly a set of columns.  Both share the lane
+widths and masks of ``_lanes``.
 
 Above ``SMALL_N`` they are numpy kernels in fixed-width integers.
 The dynamic program fills one popcount layer of (subset, endpoint) states at a
@@ -38,6 +40,7 @@ the cycle count for any valid row-order policy.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable, Iterator
@@ -111,11 +114,13 @@ def ham_dp(m: ContractedMatrix) -> int:
 
 
 def permanent_ryser(m: ContractedMatrix) -> int:
-    """Exact permanent via inclusion-exclusion over column subsets.
+    """Exact permanent: the number of ways each row takes a distinct column.
 
-    Each chunk fixes the high columns of a subset and takes every set of
-    low columns at once, so the per-row sums are a precomputed low table
-    plus one column of a high table.  Limited to n <= 24.
+    Up to ``SMALL_N`` a row-by-row subset DP in Python integers; above it
+    Ryser's inclusion-exclusion over column subsets in numpy, whose chunks fix
+    the high columns of a subset and take every set of low columns at once,
+    so the per-row sums are a precomputed low table plus one column of a high
+    table.  Limited to n <= 24.
     """
     n = m.n
     if n > DP_MAX_N:
@@ -123,6 +128,17 @@ def permanent_ryser(m: ContractedMatrix) -> int:
     if n <= SMALL_N:
         return _permanent_small(m)
     return _from_residues(m, _permanent_residue)
+
+
+@functools.cache  # k <= SMALL_N
+def _lanes(k: int) -> tuple[int, tuple[int, ...]]:
+    """The lane width in bits for subsets of k elements, whose lanes hold up
+    to k!, and ``without``: lane S of ``without[w]`` is all ones iff w is not
+    in S, so it is runs of 2^w lanes."""
+    width = math.factorial(k).bit_length() // 8 + 1
+    without = tuple(int.from_bytes((b"\xff" * (width << w) + bytes(width << w)) * (1 << k - w - 1), "little")
+                    for w in range(k))
+    return 8 * width, without
 
 
 def _ham_dp_small(m: ContractedMatrix) -> int:
@@ -137,11 +153,7 @@ def _ham_dp_small(m: ContractedMatrix) -> int:
     carries into the next.  Pass i fixes the subsets of i + 1 vertices.
     """
     rows, k = m.rows, m.n - 1
-    width = math.factorial(k).bit_length() // 8 + 1
-    bits = 8 * width
-    # Lane S of without[w] is all ones iff w is not in S: runs of 2^w lanes.
-    without = [int.from_bytes((b"\xff" * (width << w) + bytes(width << w)) * (1 << k - w - 1), "little")
-               for w in range(k)]
+    bits, without = _lanes(k)
     preds = [[v for v in range(k) if rows[v + 1] >> w + 1 & 1] for w in range(k)]
     start = [(rows[0] >> w + 1 & 1) << (bits << w) for w in range(k)]
     f = start
@@ -151,17 +163,21 @@ def _ham_dp_small(m: ContractedMatrix) -> int:
 
 
 def _permanent_small(m: ContractedMatrix) -> int:
-    """``permanent_ryser`` for n <= ``SMALL_N``: Ryser's formula in Python integers."""
+    """``permanent_ryser`` for n <= ``SMALL_N``, row by row in Python integers.
+
+    Columns are bits of a subset S.  After rows 0..i-1, lane S of ``f`` counts
+    the ways those rows can take exactly the columns S, one each (lanes with
+    |S| != i are 0).  Row i takes a column c of its own that S lacks: the
+    lanes without c, shifted up 2^c lanes, from S to S + {c}.  A lane holds
+    n!, which bounds every lane (at most |S|! ways to fill S), so no lane
+    carries into the next.
+    """
     n = m.n
-    total = 0
-    for s in range(1, 1 << n):
-        prod = 1
-        for row in m.rows:
-            prod *= (row & s).bit_count()
-            if not prod:
-                break
-        total += -prod if (n - s.bit_count()) & 1 else prod
-    return total
+    bits, without = _lanes(n)
+    f = 1  # lane 0: no row placed, no column taken
+    for row in m.rows:
+        f = sum((f & without[c]) << (bits << c) for c in range(n) if row >> c & 1)
+    return f >> bits * ((1 << n) - 1)
 
 
 def _from_residues(m: ContractedMatrix, residue: Callable[[ContractedMatrix, int], int]) -> int:

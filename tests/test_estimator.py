@@ -272,7 +272,21 @@ def _scalar_values(g, policy, seed, trials: range) -> list[int]:
     return [trial_with_policy(g, policy, trial_stream(seed, t)).value for t in trials]
 
 
+def _lockstep_values(g, policy, seed, trials: range):
+    """Every trial's value from the lockstep blocks, zeros included, lazily."""
+    for size, values in estimator._block_values(g, policy, seed, trials):
+        assert all(values.values()) and set(values) <= set(range(size)), values
+        yield from (values.get(b, 0) for b in range(size))
+
+
 LOCKSTEP_SEEDS = (0, 5, 3001, 2**40 + 7, 12 * 10**21)
+# Vertex 8 is entered only from vertex 7, so a walk from vertex 2 can end
+# only at its last draw (step 6): at a vertex other than 7, with only 8 left.  A walk that ran on past its end would move to vertex 1, whose
+# arc to the start closes it.
+LATE_ENDS = build_digraph(8, [(u, v) for u in range(1, 9) for v in range(1, 9) if u != v and (v < 8 or u == 7)])
+# Even steps (from 0) expand the top row of every trial, by a slice; odd steps
+# pick per trial by the column chosen before, and 1 sits beside other entries.
+MIXED_TABLE = [[1] * 8 if i % 2 == 0 else [1 + (i * j) % (8 - i) for j in range(8)] for i in range(8)]
 
 
 class TestLockstep:
@@ -284,7 +298,7 @@ class TestLockstep:
             for i, g in enumerate(all_digraphs(n)):
                 seed = LOCKSTEP_SEEDS[i % len(LOCKSTEP_SEEDS)]
                 for policy in _policies(n, i):
-                    got = list(estimator._block_values(g, policy, seed, trials))
+                    got = list(_lockstep_values(g, policy, seed, trials))
                     assert got == _scalar_values(g, policy, seed, trials), (g, policy, seed)
 
     @settings(max_examples=60, deadline=None)
@@ -292,7 +306,7 @@ class TestLockstep:
     def test_hypothesis_digraphs(self, g, seed, first):
         trials = range(first, first + 40)
         for policy in _policies(g.n, seed + first):
-            got = list(estimator._block_values(g, policy, seed, trials))
+            got = list(_lockstep_values(g, policy, seed, trials))
             assert got == _scalar_values(g, policy, seed, trials)
 
     @pytest.mark.parametrize("g", [
@@ -304,18 +318,35 @@ class TestLockstep:
         # widths, and all 63 uint32 words of a trial's stream.
         trials = range(estimator._BLOCK - 64, estimator._BLOCK + 64)
         for policy in _policies(64, 17):
-            got = list(estimator._block_values(g, policy, 2**40 + 7, trials))
+            got = list(_lockstep_values(g, policy, 2**40 + 7, trials))
             assert got == _scalar_values(g, policy, 2**40 + 7, trials), policy.kind
             assert any(got), policy.kind
+
+    def test_slice_and_mask_deletes_in_one_block(self):
+        g = gen_gnp(8, 0.7, 3, "symmetric-digraph")
+        policy = RowOrderPolicy.from_table(MIXED_TABLE)
+        trials = range(estimator._BLOCK - 300, estimator._BLOCK + 300)
+        got = list(_lockstep_values(g, policy, 3001, trials))
+        assert got == _scalar_values(g, policy, 3001, trials)
+        assert 0 < got.count(0) < len(got)
+
+    def test_one_trial_ends_after_steps_where_none_do(self):
+        # The block's first six draws end no trial, so they skip the
+        # compaction; the last ends exactly one, which must then drop out.
+        policy = RowOrderPolicy.follow_path(2)
+        trials = range(estimator._BLOCK, estimator._BLOCK + 4)
+        outcomes = [trial_with_policy(LATE_ENDS, policy, trial_stream(3001, t)) for t in trials]
+        assert [o.p_factors.index(0) for o in outcomes if not o.value] == [6]
+        assert list(_lockstep_values(LATE_ENDS, policy, 3001, trials)) == [o.value for o in outcomes]
 
     def test_block_starts_walk_lazily(self):
         # A range far past 2^64 costs only the blocks that are read.
         g = gen_gnp(6, 0.7, 3, "symmetric-digraph")
         for policy in _policies(6, 7):
-            got = list(itertools.islice(estimator._block_values(g, policy, 7, range(10**30)), 5))
+            got = list(itertools.islice(_lockstep_values(g, policy, 7, range(10**30)), 5))
             assert got == _scalar_values(g, policy, 7, range(5))
             top = range(2**64 - 3, 2**64)  # the last trial indices a uint64 holds
-            assert list(estimator._block_values(g, policy, 7, top)) == _scalar_values(g, policy, 7, top)
+            assert list(_lockstep_values(g, policy, 7, top)) == _scalar_values(g, policy, 7, top)
 
     @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 12 * 10**21, 2**130 + 3])
     def test_stream_words_match_numpy(self, seed):

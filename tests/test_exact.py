@@ -150,12 +150,15 @@ class TestHamDp:
 
 class TestPermanent:
     def test_matches_permutation_sum_exhaustively_to_n4(self):
-        # permanent_ryser takes the pure path here; the second leg runs the numpy kernel.
-        for n in (1, 2, 3, 4):
-            for g in all_digraphs(n):
-                want = permanent_by_permutation_sum(g)
-                assert permanent_ryser(g) == want
-                assert exact._from_residues(g, exact._permanent_residue) == want
+        # Every 0/1 matrix to n = 3, diagonal included as a ContractedMatrix
+        # may hold it, and every digraph on 4 vertices.  permanent_ryser takes
+        # the pure path here; the second leg runs the numpy kernel.
+        matrices = [ContractedMatrix(n, tuple(bits >> n * i & (1 << n) - 1 for i in range(n)))
+                    for n in (1, 2, 3) for bits in range(1 << n * n)]
+        for m in (*matrices, *all_digraphs(4)):
+            want = permanent_by_permutation_sum(m)
+            assert permanent_ryser(m) == want, m
+            assert exact._from_residues(m, exact._permanent_residue) == want, m
 
     def test_all_ones_3x3(self):
         assert permanent_ryser(ContractedMatrix(3, (0b111,) * 3)) == 6
