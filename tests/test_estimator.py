@@ -281,8 +281,9 @@ def _lockstep_values(g, policy, seed, trials: range):
 
 LOCKSTEP_SEEDS = (0, 5, 3001, 2**40 + 7, 12 * 10**21)
 # Vertex 8 is entered only from vertex 7, so a walk from vertex 2 can end
-# only at its last draw (step 6): at a vertex other than 7, with only 8 left.  A walk that ran on past its end would move to vertex 1, whose
-# arc to the start closes it.
+# only at its last draw (step 6): at a vertex other than 7, with only 8 left.
+# A walk that ran on past its end would move to vertex 1, whose arc to the
+# start closes it.
 LATE_ENDS = build_digraph(8, [(u, v) for u in range(1, 9) for v in range(1, 9) if u != v and (v < 8 or u == 7)])
 # Even steps (from 0) expand the top row of every trial, by a slice; odd steps
 # pick per trial by the column chosen before, and 1 sits beside other entries.
