@@ -30,9 +30,14 @@ trial's working state, each step draws for all live trials at once, and trials
 whose candidate set empties drop out of the block.  A step at which no trial
 drops out compacts nothing, and a step at which every trial expands its top
 row deletes that row by a slice.  Only the trials of non-zero value reach the
-Python aggregation; the zeros are counted.  The working rows and column
-labels are ``uint8`` (n <= 64), and so is the running count that ranks each
-trial's candidates.  The block computes its trials' PCG64 words itself, 1024
+Python aggregation; the zeros are counted.  The matrix kernel, which runs
+``ascending`` and ``table``, holds each entry of a trial's working rows and
+column labels as one ``uint16``, row and label a byte each (n <= 64).  It
+counts each trial's candidates and finds the chosen one in the block's flat
+list of candidate positions.  The ``follow-path`` kernel holds a trial as its
+endpoint and one ``uint64`` mask of visited vertices, and picks the chosen
+out-neighbour by a broadword popcount and select on a ``uint64`` mask.  The
+block computes its trials' PCG64 words itself, 1024
 trials at a time: it seeds them with :mod:`hamb.pcg`, the numpy-free replica
 of SeedSequence and PCG64, and steps the 128-bit LCG on ``uint64`` halves,
 then draws as ``Generator.integers`` does.  This keeps ``numpy.random`` out of an
@@ -292,6 +297,14 @@ _SEED_SLICE = 1024  # trials seeded per _stream_words call, which bounds its tem
 MAX_TRIALS = 1 << 64  # trial indices are uint64
 # Lemire rejects a draw of width w when the low half of x * w is below 2**32 % w.
 _LEMIRE_THRESHOLD = np.array([0] + [(1 << 32) % w for w in range(1, 65)], dtype=np.uint64)
+# Shift counts and masks of the kernels' fixed-width arithmetic.  Each is a
+# numpy scalar of the array's dtype: under numpy 1.x, a uint64 array combined
+# with a signed array becomes float64.
+_U1, _U2, _U3, _U4, _U7, _U8, _U32, _U56 = (np.uint64(s) for s in (1, 2, 3, 4, 7, 8, 32, 56))
+_BYTE = np.uint64(0xFF)
+_M1, _M2, _M4 = np.uint64(0x5555555555555555), np.uint64(0x3333333333333333), np.uint64(0x0F0F0F0F0F0F0F0F)
+_L8, _H8 = np.uint64(0x0101010101010101), np.uint64(0x8080808080808080)  # 0x01, 0x80 in every byte lane
+_ROW, _LABEL = np.uint16(0xFF00), np.uint16(0x00FF)  # the halves of an _expand entry
 
 
 def _mul_add128(hi, lo, inc_hi, inc_lo):
@@ -331,19 +344,17 @@ def _stream_words(seed: int, trials: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _choose(cand, u32, live, pos, widths, step, redo):
-    """Draw one candidate column for every live trial, as the scalar trial does.
+def _draw(width, u32, live, pos, widths, step, redo):
+    """Draw one candidate rank for every live trial, as the scalar trial does.
 
-    ``cand`` holds each trial's candidate mask, whose true positions in
-    ascending order are the scalar ``cand`` list.  Records the candidate counts
-    in ``widths`` and advances ``pos``, each trial's next uint32, in place.
-    Returns the trials that go on, as a mask or, when every trial does, as the
-    slice ``[:]`` whose compaction is a view, and the chosen position for each
-    of them.  Appends to ``redo`` the trials whose draw Lemire's method
-    rejects; those are redone on the scalar path, which reads on in the stream.
+    ``width`` holds each trial's candidate count.  Records it in ``widths`` and
+    advances ``pos``, each trial's next uint32, in place.  Returns the trials
+    that go on, as a mask or, when every trial does, as the slice ``[:]``
+    whose compaction is a view, and for each of them the ``uint64`` rank of
+    its chosen candidate in ascending order.  Appends to ``redo`` the trials
+    whose draw Lemire's method rejects; those are redone on the scalar path,
+    which reads on in the stream.
     """
-    ranks = np.cumsum(cand, axis=1, dtype=np.uint8)  # at most 64 columns
-    width = ranks[:, -1]
     widths[live, step] = width
     m = np.multiply(u32[live, pos], width, dtype=np.uint64)
     rejected = (m & _M32) < _LEMIRE_THRESHOLD[width]
@@ -354,66 +365,120 @@ def _choose(cand, u32, live, pos, widths, step, redo):
         keep &= ~rejected
     if keep.all():
         keep = slice(None)
-    pick = (m[keep] >> 32).astype(np.uint8)
-    return keep, np.argmax(ranks[keep] > pick[:, None], axis=1)
+    return keep, m[keep] >> _U32
+
+
+# Broadword popcount and select on uint64 masks (Vigna, "Broadword
+# implementation of rank/select queries", WEA 2008).
+def _byte_prefix(x):
+    """Byte lane ``b`` of the result is the popcount of bytes 0..b of ``x``.
+
+    So the top lane, ``result >> 56``, is the popcount of ``x``; no lane
+    exceeds 64.
+    """
+    x = x - (x >> _U1 & _M1)
+    x = (x & _M2) + (x >> _U2 & _M2)
+    return (x + (x >> _U4) & _M4) * _L8
+
+
+def _select_in_byte_table() -> np.ndarray:
+    """Flat 256 x 8 table: entry ``byte * 8 + r`` is the position of set bit ``r`` of ``byte``."""
+    bit = np.arange(256)[:, None] >> np.arange(8) & 1
+    rank = np.cumsum(bit, axis=1) - bit
+    table = np.zeros((256, 8), dtype=np.uint8)
+    byte, at = np.nonzero(bit)
+    table[byte, rank[byte, at]] = at
+    return table.ravel()
+
+
+_SELECT_IN_BYTE = _select_in_byte_table()
+
+
+def _select(x, prefix, pick):
+    """The position of set bit ``pick`` (0-based, in ascending order) of each ``x``.
+
+    ``prefix`` is ``_byte_prefix(x)`` and each ``pick`` is below the popcount
+    of its ``x``.  The chosen bit's byte is the number of lanes whose prefix
+    is ``<= pick``: such a lane keeps its high bit in ``(pick | 0x80) - prefix``,
+    and since no prefix exceeds 64 < 128, no lane borrows from the next.  Only
+    shifts and masks read the lanes, so the host's byte order plays no part.
+    """
+    below = (pick * _L8 | _H8) - prefix & _H8
+    shift = (below >> _U7) * _L8 >> _U56 << _U3  # 8 * the chosen bit's byte
+    rank = pick - ((prefix << _U8) >> shift & _BYTE)  # rank within that byte
+    return shift + _SELECT_IN_BYTE[(x >> shift & _BYTE) << _U3 | rank]
 
 
 def _walk(adj: np.ndarray, start: int, u32: np.ndarray):
-    """Lockstep follow-path as a walk over visited rows; the tests hold it to ``_run``.
+    """Lockstep follow-path as a walk over bit masks; the tests hold it to ``_run``.
 
     There, labels other than the start's are only ever deleted, so they stay in
     ascending vertex order, and the start's label sits at the endpoint row's
     position.  So ``_run`` offers the endpoint's unvisited out-neighbours in
     ascending order, as this walk does, and its last step tests the arc home.
+    A trial's state is its endpoint and one uint64 mask of visited vertices
+    (n <= 64); vertex ``v``'s out-neighbours are the mask ``out[v]``.
     """
     blk, n = len(u32), len(adj)
+    out = np.bitwise_or.reduce(adj.astype(np.uint64) << np.arange(n, dtype=np.uint64), axis=1)
     widths = np.zeros((blk, n - 1), dtype=np.uint8)
     live, pos, redo = np.arange(blk), np.zeros(blk, dtype=np.intp), []
     cur = np.full(blk, start)
-    visited = np.zeros((blk, n), dtype=bool)
-    visited[:, start] = True
+    visited = np.full(blk, _U1 << np.uint64(start))
     for step in range(n - 1):
-        keep, cur = _choose(adj[cur] & ~visited, u32, live, pos, widths, step, redo)
-        live, pos, visited = live[keep], pos[keep], visited[keep]
-        visited[np.arange(len(live)), cur] = True
-    return live[adj[cur, start]], widths, redo
+        cand = out[cur] & ~visited
+        prefix = _byte_prefix(cand)
+        keep, pick = _draw(prefix >> _U56, u32, live, pos, widths, step, redo)
+        live, pos, cand, prefix, visited = live[keep], pos[keep], cand[keep], prefix[keep], visited[keep]
+        cur = _select(cand, prefix, pick)
+        visited |= _U1 << cur
+    return live[(out[cur] >> np.uint64(start) & _U1).astype(bool)], widths, redo
 
 
 def _expand(adj: np.ndarray, order: np.ndarray, u32: np.ndarray):
     """Lockstep ``_run`` for tables: per-trial rows and labels of the working matrix.
 
     ``order[step, k]`` is the 0-based row position to expand after column
-    position ``k`` was chosen; ``ascending`` is the all-zeros order.
+    position ``k`` was chosen; ``ascending`` is the all-zeros order.  A trial's
+    row and label at one position are one ``uint16``, ``row << 8 | label``, so
+    one gather moves both.  The chosen candidate is found in the block's flat
+    list of candidates, where each trial's run starts after the candidates of
+    the trials before it, those that drop out at this step included.
     """
     blk, n = len(u32), len(adj)
     widths = np.zeros((blk, n - 1), dtype=np.uint8)
     live, pos, redo = np.arange(blk), np.zeros(blk, dtype=np.intp), []
-    rows = np.tile(np.arange(n, dtype=np.uint8), (blk, 1))
-    labels = rows.copy()
+    pairs = np.tile(np.arange(n, dtype=np.uint16) * np.uint16(0x101), (blk, 1))  # row == label == position
     k = np.zeros(blk, dtype=np.intp)
-    flat = adj.ravel()  # adj[u, label] is flat[u * n + label], and u * n + label < 2**12
+    flat = np.zeros((n, 256), dtype=bool)  # adj[u, label] is flat[u << 8 | label]
+    flat[:, :n] = adj
+    flat = flat.ravel()
+    positions = np.arange(n, dtype=np.uint8)
     for step in range(n - 1):
+        m = n - step
         gpos = order[step, k]
         # Every trial expands position 0 (each ascending step, and a table
         # step where it happens): then the delete is a slice.
         first = not gpos.any()
         here = (slice(None), 0) if first else (np.arange(len(live)), gpos)
-        cand = flat.take(rows[here].astype(np.uint16)[:, None] * n + labels)
+        cand = flat.take(pairs[here][:, None] & _ROW | pairs & _LABEL)
         cand[here] = False
-        keep, k = _choose(cand, u32, live, pos, widths, step, redo)
-        live, pos, rows, labels = live[keep], pos[keep], rows[keep], labels[keep]
+        width = cand.sum(axis=1, dtype=np.uint8)  # at most 63
+        keep, pick = _draw(width, u32, live, pos, widths, step, redo)
+        start = np.cumsum(width, dtype=np.uint64) - width
+        k = np.flatnonzero(cand)[start[keep] + pick] % m
+        live, pos, pairs = live[keep], pos[keep], pairs[keep]
         at = np.arange(len(live))
+        # The swap, less the half that is deleted: the chosen position takes
+        # the expanded position's label.
         if first:
-            labels[at, k] = labels[:, 0]  # the swap, less the half that is deleted
-            rows, labels = rows[:, 1:], labels[:, 1:]
+            pairs[at, k] = pairs[at, k] & _ROW | pairs[:, 0] & _LABEL
+            pairs = pairs[:, 1:]
         else:
             gpos = gpos[keep]
-            labels[at, k] = labels[at, gpos]
-            rest = np.ones(rows.shape, dtype=bool)
-            rest[at, gpos] = False
-            shape = len(live), n - step - 1
-            rows, labels = rows[rest].reshape(shape), labels[rest].reshape(shape)
-    return live[adj[rows[:, 0], labels[:, 0]]], widths, redo
+            pairs[at, k] = pairs[at, k] & _ROW | pairs[at, gpos] & _LABEL
+            pairs = pairs[positions[:m] != gpos[:, None]].reshape(len(live), m - 1)
+    return live[flat[pairs[:, 0]]], widths, redo
 
 
 def _block_values(g: DiGraph, policy: RowOrderPolicy, seed: int, trials: range) -> Iterator[tuple[int, dict[int, int]]]:

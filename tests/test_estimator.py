@@ -340,6 +340,26 @@ class TestLockstep:
         assert [o.p_factors.index(0) for o in outcomes if not o.value] == [6]
         assert list(_lockstep_values(LATE_ENDS, policy, 3001, trials)) == [o.value for o in outcomes]
 
+    @pytest.mark.parametrize("policy", _policies(10, 3)[::2], ids=["ascending", "table"])
+    def test_trials_that_end_sit_before_live_ones(self, policy):
+        # Each trial's candidates follow those of the trials before it in the
+        # block's flat candidate list, so a trial that ends at a draw, ahead of
+        # one that goes on, must still take its (empty) place there.
+        g = gen_gnp(10, 0.4, 3, "digraph")
+        outcomes = [trial_with_policy(g, policy, trial_stream(9, t)) for t in range(64)]
+        ends = [o.p_factors.index(0) if not o.value else g.n for o in outcomes]
+        assert any(e < g.n - 1 and e < max(ends[i + 1:], default=0) for i, e in enumerate(ends))
+        assert list(_lockstep_values(g, policy, 9, range(64))) == [o.value for o in outcomes]
+
+    def test_walk_enters_the_top_bit(self):
+        # Vertex 64 is bit 63 of the walk's uint64 masks: the top bit of the
+        # top byte lane.  A walk from vertex 1 that closes a cycle entered it.
+        g = gen_gnp(64, 0.5, 11, "symmetric-digraph")
+        policy = RowOrderPolicy.follow_path(1)
+        outcomes = [trial_with_policy(g, policy, trial_stream(7, t)) for t in range(128)]
+        assert any(o.witness for o in outcomes)
+        assert list(_lockstep_values(g, policy, 7, range(128))) == [o.value for o in outcomes]
+
     def test_block_starts_walk_lazily(self):
         # A range far past 2^64 costs only the blocks that are read.
         g = gen_gnp(6, 0.7, 3, "symmetric-digraph")
@@ -384,3 +404,63 @@ class TestLockstep:
         assert report.sum == sum(want)
         total_sq = sum(v * v for v in want)
         assert report.sample_variance == (total_sq - Fraction(report.sum**2, 600)) / 599
+
+    @pytest.mark.parametrize("policy", [
+        RowOrderPolicy.ascending(),
+        RowOrderPolicy.from_table(MIXED_TABLE),
+    ], ids=["ascending", "table"])
+    def test_rejected_draws_skipped_in_the_matrix_kernel(self, monkeypatch, policy):
+        # Zeroing the low half of a trial's second word makes Lemire's method
+        # reject its third draw, which reads that half when the first two
+        # read a uint32 each, if the third draw's width is not a power of
+        # two.  By then candidate sets differ from trial to trial, and the
+        # trials after a rejected one must still find their own candidates.
+        g = gen_gnp(8, 0.7, 3, "symmetric-digraph")
+        outcomes = [trial_with_policy(g, policy, trial_stream(9, t)) for t in range(600)]
+        rejected = [t for t, o in enumerate(outcomes)
+                    if t % 3 == 0 and min(o.p_factors[:2]) > 1 and o.p_factors[2] & (o.p_factors[2] - 1)]
+        real_words = estimator._stream_words
+        replayed = []
+
+        def words(seed, trials, count):
+            out = real_words(seed, trials, count)
+            out[np.isin(trials, rejected), 1] &= np.uint64(0xFFFFFFFF00000000)
+            return out
+
+        def counting_stream(seed, t):
+            replayed.append(t)
+            return trial_stream(seed, t)
+
+        monkeypatch.setattr(estimator, "_stream_words", words)
+        monkeypatch.setattr(estimator, "trial_stream", counting_stream)
+        got = list(_lockstep_values(g, policy, 9, range(600)))
+        assert replayed == rejected and len(rejected) > 20
+        assert got == [o.value for o in outcomes]
+
+
+class TestBroadwordSelect:
+    """The follow-path kernel's popcount and select against plain Python."""
+
+    @staticmethod
+    def _check(masks):
+        words, ranks, want = [], [], []
+        for x in masks:
+            ones = [i for i in range(64) if x >> i & 1]
+            words += [x] * len(ones)
+            ranks += range(len(ones))
+            want += ones
+        x = np.array(words, dtype=np.uint64)
+        prefix = estimator._byte_prefix(x)
+        assert (prefix >> np.uint64(56)).tolist() == [bin(w).count("1") for w in words]
+        assert estimator._select(x, prefix, np.array(ranks, dtype=np.uint64)).tolist() == want
+
+    def test_every_byte_in_every_lane_at_every_rank(self):
+        self._check([b << 8 * lane for b in range(256) for lane in range(8)])
+
+    def test_random_words_at_every_rank(self):
+        rng = random.Random(13)
+        # Sparse, balanced and dense words, then all ones and the top bit alone.
+        masks = [rng.getrandbits(64) & rng.getrandbits(64) for _ in range(4000)]
+        masks += [rng.getrandbits(64) for _ in range(3000)]
+        masks += [rng.getrandbits(64) | rng.getrandbits(64) for _ in range(3000)]
+        self._check(masks + [2**64 - 1, 1 << 63])
