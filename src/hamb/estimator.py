@@ -344,21 +344,22 @@ def _stream_words(seed: int, trials: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _draw(width, u32, live, pos, widths, step, redo):
+def _draw(width, u32, live, nxt, widths, step, redo):
     """Draw one candidate rank for every live trial, as the scalar trial does.
 
-    ``width`` holds each trial's candidate count.  Records it in ``widths`` and
-    advances ``pos``, each trial's next uint32, in place.  Returns the trials
-    that go on, as a mask or, when every trial does, as the slice ``[:]``
-    whose compaction is a view, and for each of them the ``uint64`` rank of
-    its chosen candidate in ascending order.  Appends to ``redo`` the trials
-    whose draw Lemire's method rejects; those are redone on the scalar path,
-    which reads on in the stream.
+    ``width`` holds each trial's candidate count; it goes to ``widths[step]``.
+    ``nxt`` holds each trial's next uint32 as an index into the flattened
+    ``u32``, and advances in place.  Returns the trials that go on, as a mask
+    or, when every trial does, as the slice ``[:]`` whose compaction is a
+    view, and for each of them the ``uint64`` rank of its chosen candidate in
+    ascending order.  Appends to ``redo`` the trials whose draw Lemire's
+    method rejects; those are redone on the scalar path, which reads on in
+    the stream.
     """
-    widths[live, step] = width
-    m = np.multiply(u32[live, pos], width, dtype=np.uint64)
+    widths[step, live] = width
+    m = np.multiply(u32.take(nxt), width, dtype=np.uint64)
     rejected = (m & _M32) < _LEMIRE_THRESHOLD[width]
-    pos += width > 1
+    nxt += width > 1
     keep = width > 0
     if rejected.any():
         redo += live[rejected].tolist()
@@ -421,15 +422,16 @@ def _walk(adj: np.ndarray, start: int, u32: np.ndarray):
     """
     blk, n = len(u32), len(adj)
     out = np.bitwise_or.reduce(adj.astype(np.uint64) << np.arange(n, dtype=np.uint64), axis=1)
-    widths = np.zeros((blk, n - 1), dtype=np.uint8)
-    live, pos, redo = np.arange(blk), np.zeros(blk, dtype=np.intp), []
+    widths = np.zeros((n - 1, blk), dtype=np.uint8)
+    live, redo = np.arange(blk), []
+    nxt = live * u32.shape[1]
     cur = np.full(blk, start)
     visited = np.full(blk, _U1 << np.uint64(start))
     for step in range(n - 1):
         cand = out[cur] & ~visited
         prefix = _byte_prefix(cand)
-        keep, pick = _draw(prefix >> _U56, u32, live, pos, widths, step, redo)
-        live, pos, cand, prefix, visited = live[keep], pos[keep], cand[keep], prefix[keep], visited[keep]
+        keep, pick = _draw(prefix >> _U56, u32, live, nxt, widths, step, redo)
+        live, nxt, cand, prefix, visited = live[keep], nxt[keep], cand[keep], prefix[keep], visited[keep]
         cur = _select(cand, prefix, pick)
         visited |= _U1 << cur
     return live[(out[cur] >> np.uint64(start) & _U1).astype(bool)], widths, redo
@@ -446,8 +448,9 @@ def _expand(adj: np.ndarray, order: np.ndarray, u32: np.ndarray):
     the trials before it, those that drop out at this step included.
     """
     blk, n = len(u32), len(adj)
-    widths = np.zeros((blk, n - 1), dtype=np.uint8)
-    live, pos, redo = np.arange(blk), np.zeros(blk, dtype=np.intp), []
+    widths = np.zeros((n - 1, blk), dtype=np.uint8)
+    live, redo = np.arange(blk), []
+    nxt = live * u32.shape[1]
     pairs = np.tile(np.arange(n, dtype=np.uint16) * np.uint16(0x101), (blk, 1))  # row == label == position
     k = np.zeros(blk, dtype=np.intp)
     flat = np.zeros((n, 256), dtype=bool)  # adj[u, label] is flat[u << 8 | label]
@@ -464,10 +467,10 @@ def _expand(adj: np.ndarray, order: np.ndarray, u32: np.ndarray):
         cand = flat.take(pairs[here][:, None] & _ROW | pairs & _LABEL)
         cand[here] = False
         width = cand.sum(axis=1, dtype=np.uint8)  # at most 63
-        keep, pick = _draw(width, u32, live, pos, widths, step, redo)
+        keep, pick = _draw(width, u32, live, nxt, widths, step, redo)
         start = np.cumsum(width, dtype=np.uint64) - width
         k = np.flatnonzero(cand)[start[keep] + pick] % m
-        live, pos, pairs = live[keep], pos[keep], pairs[keep]
+        live, nxt, pairs = live[keep], nxt[keep], pairs[keep]
         at = np.arange(len(live))
         # The swap, less the half that is deleted: the chosen position takes
         # the expanded position's label.
@@ -506,7 +509,7 @@ def _block_values(g: DiGraph, policy: RowOrderPolicy, seed: int, trials: range) 
             until = min(at + _SEED_SLICE, stop)
             raw[at - first:until - first] = _stream_words(seed, np.arange(at, until, dtype=np.uint64), g.n // 2)
         hits, widths, redo = kernel(raw.astype("<u8", copy=False).view("<u4"))
-        values = {b: math.prod(row) for b, row in zip(hits.tolist(), widths[hits].tolist())}
+        values = {b: math.prod(row) for b, row in zip(hits.tolist(), widths[:, hits].T.tolist())}
         for b in redo:
             value = trial_with_policy(g, policy, trial_stream(seed, first + b)).value
             if value:

@@ -315,8 +315,8 @@ class TestLockstep:
         gen_gnp(64, 0.5, 11, "symmetric-digraph"),
     ], ids=["complete", "gnp"])
     def test_vertex_cap(self, g):
-        # Up to 63 candidates per draw: the widest uint8 labels, ranks and
-        # widths, and all 63 uint32 words of a trial's stream.
+        # Up to 63 candidates per draw: the widest rows and labels, uint64
+        # masks and uint8 widths, and all 63 uint32 words of a trial's stream.
         trials = range(estimator._BLOCK - 64, estimator._BLOCK + 64)
         for policy in _policies(64, 17):
             got = list(_lockstep_values(g, policy, 2**40 + 7, trials))
