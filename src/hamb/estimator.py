@@ -36,11 +36,12 @@ column labels as one ``uint16``, row and label a byte each (n <= 64).  It
 counts each trial's candidates and finds the chosen one in the block's flat
 list of candidate positions.  The ``follow-path`` kernel holds a trial as its
 endpoint and one ``uint64`` mask of visited vertices, and picks the chosen
-out-neighbour by a broadword popcount and select on a ``uint64`` mask.  The
-block computes its trials' PCG64 words itself, 1024
-trials at a time: it seeds them with :mod:`hamb.pcg`, the numpy-free replica
-of SeedSequence and PCG64, and steps the 128-bit LCG on ``uint64`` halves,
-then draws as ``Generator.integers`` does.  This keeps ``numpy.random`` out of an
+out-neighbour by a broadword popcount and select on a ``uint64`` mask.
+
+The block computes its trials' PCG64 words itself, 1024 trials at a time: it
+seeds them with :mod:`hamb.pcg`, the numpy-free replica of SeedSequence and
+PCG64, and steps the 128-bit LCG on ``uint64`` halves, then draws as
+``Generator.integers`` does.  This keeps ``numpy.random`` out of an
 ``estimate`` process, which imports it only to redo a trial whose draw
 Lemire's method rejects: on G(20, 0.4) importing it raises the process's peak
 RSS from 34 to 37 MB.  The block reads each ``uint64`` word as two ``uint32``
