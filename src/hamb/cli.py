@@ -4,17 +4,19 @@ The graph and table file formats live in :mod:`hamb.io`; ``parse_graph`` and
 ``serialize_graph`` are re-exported here.  Reports go to stdout and are
 byte-identical for identical inputs; wall-clock timing goes to stderr only.
 On success its last line is ``elapsed-ms``, the time from argument parsing to
-the end of the report.  It leaves out start-up, including the modules that
-``_COMMANDS`` lists beside each handler and loads first: the hamb modules that
-a command runs whatever its input (and ``hamb.exact`` for every ``compare``),
-with numpy for ``estimate`` and ``selftest``.  A module that only some inputs
-need loads where it is used, inside the clock: numpy and ``hamb.bounds`` for an
-exact count above n = 12, ``hamb.exact`` for the count that ``bounds`` prints
-up to n = 16, ``json`` for ``--json``, ``hashlib`` for a file digest.  Seeded
-draws (``gen`` and ``compare`` on G(n, p), ``selftest``) come from
-:mod:`hamb.pcg`, so they load no ``numpy.random``; ``gen`` loads no numpy at
-all.  The parser holds every subcommand but only the arguments of the one it
-runs.
+the end of the report.  It leaves out the process's exit, and its start-up,
+including the modules that ``_COMMANDS`` lists beside each handler and loads
+first: the hamb modules that a command runs whatever its input (and
+``hamb.exact`` for every ``compare``), with numpy for ``estimate`` and
+``selftest``.  A module that only some inputs need loads where it is used,
+inside the clock: numpy and ``hamb.bounds`` for an exact count above n = 12,
+``hamb.exact`` for the count that ``bounds`` prints up to n = 16, ``json`` for
+``--json``, ``hashlib`` for a file digest.  Seeded draws (``gen`` and
+``compare`` on G(n, p), ``selftest``) come from :mod:`hamb.pcg`, so they load
+no ``numpy.random``; ``gen`` loads no numpy at all.  The parser holds every
+subcommand but only the arguments of the one it runs.  A process, which enters
+through :func:`run`, freezes the garbage collector before it exits and runs
+numpy with one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is set.
 Counts are printed as decimal strings, exact rationals as
 ``numerator/denominator``, reals with 15 significant digits.
 
@@ -24,8 +26,10 @@ Exit codes: 0 success, 1 usage error, 2 input error, 3 size-limit error,
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -436,4 +440,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Entry point of ``python -m hamb`` and the ``hamb`` script.
+
+    hamb calls no BLAS routine, so numpy gets one BLAS thread unless the user
+    set ``OPENBLAS_NUM_THREADS``.  Freezing the collector once the report is
+    out lets shutdown skip the objects the process made; atexit handlers and
+    the flush of stdout and stderr still run.  :func:`main` does neither.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    code = main()
+    gc.freeze()
+    sys.exit(code)

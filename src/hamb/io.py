@@ -150,7 +150,7 @@ def load_table_policy(path: str) -> RowOrderPolicy:
     from .estimator import RowOrderPolicy
 
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise PolicyError(f"cannot read table file {path}: {e}") from None
     rows: list[list[int]] = []

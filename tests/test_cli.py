@@ -1,7 +1,9 @@
 """Command-line surface: parsing, round trips, determinism, exit codes."""
 from __future__ import annotations
 
+import gc
 import json
+import os
 
 import numpy as np
 import pytest
@@ -219,6 +221,26 @@ class TestCliCommands:
                 "--format", "object", "--out", str(out))
         doc = json.loads(out.read_text())
         assert doc["kind"] == "directed" and len(doc["edges"]) == 8
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("estimate", "--input", "c3.txt", "--trials", "10", "--policy", "table:table.txt"),
+            ("exact", "--input", "c3.txt"),
+            ("bounds", "--input", "c3.txt"),
+            ("gen", "--model", "cycle", "--n", "4", "--out", "out.txt"),
+            ("compare", "--family", "cycle", "--n", "3..5"),
+        ],
+        ids=["estimate-table", "exact", "bounds", "gen", "compare"],
+    )
+    def test_no_file_read_uses_the_locale_encoding(self, tmp_path, argv):
+        # Graph and table files decode as UTF-8 whatever the locale: a read
+        # with the locale's default encoding would raise an EncodingWarning here.
+        (tmp_path / "c3.txt").write_text(serialize_graph(gen_family("cycle", 3, "undirected")))
+        (tmp_path / "table.txt").write_text("3 1 2\n1 2 1\n1 1 1\n")
+        entry = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "hamb")
+        res = run_cli(*argv, cwd=tmp_path, entry=entry)
+        assert res.returncode == 0, res.stderr
 
 
 class TestExitCodes:
@@ -509,3 +531,62 @@ class TestLazyImports:
 
         with pytest.raises(AttributeError, match="no_such_name"):
             hamb.no_such_name  # noqa: B018
+
+
+# ``python -m hamb`` as ``-m`` runs it, then, as the last stdout line at exit:
+# whether the collector is frozen, and with ``threads`` also the number of
+# threads the process has and the OPENBLAS_NUM_THREADS that it sees.
+_REPORT_EXIT = (
+    "import atexit, gc, os, runpy; atexit.register(lambda: print(gc.get_freeze_count() > 0, *("
+    "(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS')) if {threads} else ()))); "
+    "runpy.run_module('hamb', run_name='__main__', alter_sys=True)"
+)
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(("bounds", "--input", "k12.txt"), 0), (("exact", "--input", "missing.txt"), 2)],
+        ids=["bounds", "exact-missing-file"],
+    )
+    def test_python_m_hamb_freezes_the_collector_before_exit(self, tmp_path, argv, code):
+        _write_inputs(tmp_path)
+        plain = run_cli(*argv, cwd=tmp_path)
+        res = run_cli(*argv, cwd=tmp_path, entry=("-c", _REPORT_EXIT.format(threads=False)))
+        assert plain.returncode == res.returncode == code, res.stderr
+        assert res.stdout.splitlines()[-1] == "True"
+        assert res.stdout.splitlines()[:-1] == plain.stdout.splitlines()
+        if code:
+            assert res.stderr == plain.stderr
+            assert res.stderr.startswith("input error:")
+        else:
+            assert res.stderr.splitlines()[-1].startswith("elapsed-ms: ")
+
+    def test_main_in_process_leaves_the_process_alone(self, tmp_path, monkeypatch, capsys):
+        _write_inputs(tmp_path)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        frozen, environ = gc.get_freeze_count(), dict(os.environ)
+        assert cli.main(["exact", "--method", "dp", "--input", str(tmp_path / "k13.txt")]) == 0
+        assert "count: 479001600" in capsys.readouterr().out.splitlines()
+        assert gc.get_freeze_count() == frozen
+        assert dict(os.environ) == environ
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+        reason="needs /proc/self/task and at least two CPUs, where OpenBLAS would start a thread",
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [("estimate", "--trials", "5", "--input", "triangle.txt"), ("exact", "--method", "dp", "--input", "k13.txt")],
+        ids=["estimate", "exact-dp-k13"],
+    )
+    def test_numpy_runs_one_blas_thread_unless_set(self, tmp_path, monkeypatch, argv):
+        _write_inputs(tmp_path)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        probe = ("-c", _REPORT_EXIT.format(threads=True))
+        res = run_cli(*argv, cwd=tmp_path, entry=probe)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "True 1 1"
+        res = run_cli(*argv, cwd=tmp_path, entry=probe, env_extra={"OPENBLAS_NUM_THREADS": "2"})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1].split()[2] == "2"
