@@ -15,14 +15,18 @@ gives (1/2^(n+1)) prod (d_i+1), (1/2^n) prod d_i, and (1/2) prod (d_i!)^(1/d_i).
 Rational bounds are exact; only bregman needs floats, kept as a natural-log
 upper value where every term is rounded up by a relative guard of 1e-13 (well
 under the documented 1e-12 budget), so exp(log_upper) >= the true bound.
+``Fraction`` loads only where a rational is built, so the Bregman cap that
+bounds an exact count loads neither ``fractions`` nor ``decimal``.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .graphs import DiGraph, UndiGraph, check_integer, degrees, is_symmetric, row_sums
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _REL_GUARD = 1e-13
 _EXP_OVERFLOW_LOG = 700.0
@@ -89,6 +93,8 @@ def _exact_bound(q: Fraction) -> BoundValue:
 
 def minc_bound(r: Sequence[int]) -> BoundValue:
     """Permanent bound prod (r_i + 1) / 2, exact."""
+    from fractions import Fraction
+
     vals = _check_degrees(r)
     return _exact_bound(Fraction(math.prod(x + 1 for x in vals), 2 ** len(vals)))
 
@@ -119,6 +125,8 @@ def bregman_bound(r: Sequence[int]) -> BoundValue:
 
 def symmetric_product_value(r: Sequence[int]) -> Fraction:
     """The raw value prod r_i / 2^(n-1) for a degree sequence."""
+    from fractions import Fraction
+
     vals = _check_degrees(r)
     return Fraction(math.prod(vals), 2 ** (len(vals) - 1))
 

@@ -11,7 +11,8 @@ first: the hamb modules that a command runs whatever its input (and
 ``selftest``.  A module that only some inputs need loads where it is used,
 inside the clock: numpy and ``hamb.bounds`` for an exact count above n = 12,
 ``hamb.exact`` for the count that ``bounds`` prints up to n = 16, ``json`` for
-``--json``, ``hashlib`` for a file digest.  Seeded draws (``gen`` and
+``--json``, and for a file digest CPython's built-in SHA-256 (``hashlib``,
+with OpenSSL, only where the interpreter lacks it).  Seeded draws (``gen`` and
 ``compare`` on G(n, p), ``selftest``) come from :mod:`hamb.pcg`, so they load
 no ``numpy.random``; ``gen`` loads no numpy at all.  The parser holds every
 subcommand but only the arguments of the one it runs.  A process, which enters
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING
 
 from .errors import GraphSizeError, ParseError, PolicyError
 from .graphs import FAMILIES, GRAPH_KINDS, DiGraph, UndiGraph, gen_family, gen_gnp, row_sums, to_symmetric_digraph
-from .io import load_table_policy, parse_graph, serialize_graph
+from .io import load_table_policy, parse_graph, serialize_graph, sha256_hex
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -69,12 +70,6 @@ def _fmt_fraction(q: Fraction) -> str:
 
 def _fmt_real(x: float) -> str:
     return f"{x:.15g}"
-
-
-def _digest(data: bytes) -> str:
-    import hashlib
-
-    return hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +119,7 @@ def _read_input(args) -> tuple[DiGraph | UndiGraph, dict[str, str]]:
     g = parse_graph(data.decode("utf-8"), args.format)
     fields = {
         "input": args.input,
-        "input-sha256": _digest(data),
+        "input-sha256": sha256_hex(data),
         "kind": "directed" if isinstance(g, DiGraph) else "undirected",
         "n": str(g.n),
     }
@@ -329,7 +324,7 @@ def _cmd_gen(args) -> int:
         "kind": args.kind,
         "seed": str(args.seed),
         "out": args.out,
-        "graph-sha256": _digest(payload),
+        "graph-sha256": sha256_hex(payload),
     }
     if args.model == "gnp":
         fields["p"] = _fmt_real(args.p)

@@ -61,6 +61,7 @@ import numpy as np
 
 from .errors import PolicyError
 from .graphs import CycleWitness, DiGraph, check_integer
+from .io import sha256_hex
 from .pcg import _M32, _PCG_MULT_HI, _PCG_MULT_LO, _absorb, _pcg64_seed, _seed_pool
 
 
@@ -120,9 +121,7 @@ class RowOrderPolicy(NamedTuple("RowOrderPolicy", [("kind", str), ("start", int 
             return "ascending"
         if self.kind == "follow-path":
             return f"follow-path:{self.start}"
-        import hashlib
-
-        digest = hashlib.sha256(repr(self.table).encode()).hexdigest()[:8]
+        digest = sha256_hex(repr(self.table).encode())[:8]
         return f"table:{len(self.table)}x{len(self.table)}:{digest}"
 
 

@@ -145,6 +145,23 @@ def serialize_graph(g: DiGraph | UndiGraph, fmt: str = "text") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def sha256_hex(data: bytes) -> str:
+    """The SHA-256 of ``data`` in hex, from CPython's built-in SHA-256.
+
+    ``hashlib`` maps OpenSSL's libcrypto, which adds ~3.5 MB of RSS and a
+    clean-up at exit to a process that hashes one file, so it serves only an
+    interpreter built without the lean module (as ``Lib/random.py`` does).
+    """
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 def load_table_policy(path: str) -> RowOrderPolicy:
     """Read a table-policy file; :class:`RowOrderPolicy` checks its shape."""
     from .estimator import RowOrderPolicy

@@ -2,14 +2,16 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hamb import ParseError, GraphSizeError, UndiGraph, DiGraph, cli, gen_gnp, gen_family, ham_dp, selftest
-from hamb.io import parse_graph, serialize_graph
+from hamb.io import parse_graph, serialize_graph, sha256_hex
 from hamb.pcg import Stream
 
 from conftest import run_cli
@@ -329,6 +331,15 @@ class TestExitCodes:
     def test_input_error_missing_file(self):
         assert run_cli("exact", "--input", "/nonexistent/g.txt").returncode == 2
 
+    @pytest.mark.parametrize("out", ["missing/g.txt", "d"], ids=["missing-directory", "directory"])
+    def test_input_error_gen_out_unwritable(self, tmp_path, out):
+        (tmp_path / "d").mkdir()
+        res = run_cli("gen", "--model", "cycle", "--n", "4", "--out", out, cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("input error:"), res.stderr
+        assert res.stdout == ""
+        assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+
     def test_size_error_large_graph(self, tmp_path):
         path = tmp_path / "big.txt"
         path.write_text("65 0 directed\n")
@@ -498,12 +509,12 @@ class TestLazyImports:
     @pytest.mark.parametrize(
         "argv, absent",
         [
-            (("bounds", "--input", "triangle.txt"), ("dataclasses", "inspect", "hamb.estimator", "json")),
-            (("bounds", "--input", "n20.txt", "--json"), ("dataclasses", "inspect", "hamb.estimator", "hamb.exact")),
+            (("bounds", "--input", "triangle.txt"), ("dataclasses", "inspect", "hamb.estimator", "json", "_hashlib")),
+            (("bounds", "--input", "n20.txt", "--json"), ("dataclasses", "inspect", "hamb.estimator", "hamb.exact", "_hashlib")),
             (("exact", "--method", "brute", "--input", "d8.txt"),
-             ("dataclasses", "inspect", "hamb.estimator", "hamb.bounds")),
+             ("dataclasses", "inspect", "hamb.estimator", "hamb.bounds", "_hashlib")),
             (("gen", "--model", "complete", "--n", "12", "--out", "out.txt"),
-             ("dataclasses", "inspect", "hamb.estimator", "hamb.exact", "hamb.bounds", "json")),
+             ("dataclasses", "inspect", "hamb.estimator", "hamb.exact", "hamb.bounds", "json", "_hashlib")),
             (("estimate", "--trials", "5", "--input", "triangle.txt"), ("dataclasses", "hamb.exact", "hamb.bounds")),
             (("compare", "--family", "cycle", "--n", "3..5", "--json"), ("dataclasses", "csv", "hashlib")),
             (("selftest",), ("dataclasses",)),
@@ -516,6 +527,29 @@ class TestLazyImports:
         assert res.returncode == 0, res.stderr
         loaded = dict(zip(absent, res.stdout.splitlines()[-1].split()))
         assert loaded == dict.fromkeys(absent, "False")
+
+    # Digests come from CPython's built-in SHA-256, so no command loads
+    # OpenSSL's _hashlib (~3.5 MB of RSS); an exact count needs only the
+    # Bregman cap, so it loads no fractions (nor the decimal that it imports).
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            (("estimate", "--trials", "5", "--policy", "table:table.txt", "--input", "triangle.txt"), ("_hashlib",)),
+            (("exact", "--method", "dp", "--input", "k13.txt"), ("_hashlib", "fractions", "decimal")),
+            (("exact", "--method", "permanent", "--input", "k13.txt"), ("_hashlib", "fractions", "decimal")),
+        ],
+        ids=["estimate-table", "exact-dp-k13", "exact-permanent-k13"],
+    )
+    def test_numpy_commands_load_no_openssl(self, tmp_path, argv, absent):
+        probe = run_cli(entry=("-c", f"import numpy, sys; print(*(m in sys.modules for m in {absent!r}))"))
+        if "True" in probe.stdout.split():
+            pytest.skip(f"a bare 'import numpy' loads one of {absent} on this numpy")
+        _write_inputs(tmp_path)
+        (tmp_path / "table.txt").write_text("3 1 2\n1 2 1\n1 1 1\n")
+        res = run_cli(*argv, cwd=tmp_path, entry=("-c", _REPORT_MODULE.format(("numpy",) + absent)))
+        assert res.returncode == 0, res.stderr
+        loaded = dict(zip(("numpy",) + absent, res.stdout.splitlines()[-1].split()))
+        assert loaded == {"numpy": "True", **dict.fromkeys(absent, "False")}
 
     def test_every_public_name_resolves(self):
         import hamb
@@ -590,3 +624,30 @@ class TestProcessEntry:
         res = run_cli(*argv, cwd=tmp_path, entry=probe, env_extra={"OPENBLAS_NUM_THREADS": "2"})
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1].split()[2] == "2"
+
+
+class TestDigest:
+    @pytest.mark.parametrize("size", [0, 1, 55, 56, 63, 64, 65, 4096])
+    def test_equals_hashlib_across_block_edges(self, size):
+        data = bytes(i * 7 % 256 for i in range(size))
+        assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+    @given(st.binary(max_size=300))
+    def test_equals_hashlib(self, data):
+        assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+    def test_hashlib_fallback_prints_the_same_bytes(self, tmp_path):
+        # With neither built-in module importable the digest goes through
+        # hashlib; the last stderr line, written at exit, says it did.
+        _write_inputs(tmp_path)
+        plain = run_cli("bounds", "--input", "k12.txt", cwd=tmp_path)
+        entry = (
+            "-c",
+            "import atexit, runpy, sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+            "atexit.register(lambda: print('hashlib' in sys.modules, file=sys.stderr)); "
+            "runpy.run_module('hamb', run_name='__main__', alter_sys=True)",
+        )
+        res = run_cli("bounds", "--input", "k12.txt", cwd=tmp_path, entry=entry)
+        assert plain.returncode == res.returncode == 0, res.stderr
+        assert res.stdout == plain.stdout
+        assert res.stderr.splitlines()[-1] == "True"
