@@ -12,9 +12,9 @@ first: the hamb modules that a command runs whatever its input (and
 inside the clock: numpy and ``hamb.bounds`` for an exact count above n = 12,
 ``hamb.exact`` for the count that ``bounds`` prints up to n = 16, ``json`` for
 ``--json``, and for a file digest CPython's built-in SHA-256 (``hashlib``,
-with OpenSSL, only where the interpreter lacks it).  Seeded draws (``gen`` and
-``compare`` on G(n, p), ``selftest``) come from :mod:`hamb.pcg`, so they load
-no ``numpy.random``; ``gen`` loads no numpy at all.  The parser holds every
+with OpenSSL, only where the interpreter lacks it).  Every seeded draw, the
+estimator's trials included, comes from :mod:`hamb.pcg`, so no command loads
+``numpy.random``; ``gen`` loads no numpy at all.  The parser holds every
 subcommand but only the arguments of the one it runs.  A process, which enters
 through :func:`run`, freezes the garbage collector before it exits and runs
 numpy with one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is set.
@@ -116,7 +116,7 @@ def _emit_fields(args, fields: dict[str, str]) -> None:
 
 def _read_input(args) -> tuple[DiGraph | UndiGraph, dict[str, str]]:
     data = Path(args.input).read_bytes()
-    g = parse_graph(data.decode("utf-8"), args.format)
+    g = parse_graph(data.decode("utf-8-sig"), args.format)
     fields = {
         "input": args.input,
         "input-sha256": sha256_hex(data),

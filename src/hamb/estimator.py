@@ -20,8 +20,8 @@ Row order is a policy: one rule for picking the row on one trial, ``_run``:
 
 Monte Carlo aggregation keeps mean and sample variance as exact rationals;
 floats appear only in reporting fields.  Trial ``t`` always draws from
-``trial_stream(seed, t)``: ``SeedSequence(entropy=seed, spawn_key=(t,))``
-feeding PCG64.
+``trial_stream(seed, t)``, a :class:`hamb.pcg.Stream` that draws as PCG64
+seeded with ``SeedSequence(entropy=seed, spawn_key=(t,))``.
 
 ``trial_with_policy`` runs one trial in plain Python; it is the reference path,
 and ``enumerate_branches`` replays it.  ``estimate`` runs the trials in
@@ -38,15 +38,13 @@ list of candidate positions.  The ``follow-path`` kernel holds a trial as its
 endpoint and one ``uint64`` mask of visited vertices, and picks the chosen
 out-neighbour by a broadword popcount and select on a ``uint64`` mask.
 
-The block computes its trials' PCG64 words itself, 1024 trials at a time: it
-seeds them with :mod:`hamb.pcg`, the numpy-free replica of SeedSequence and
-PCG64, and steps the 128-bit LCG on ``uint64`` halves, then draws as
-``Generator.integers`` does.  This keeps ``numpy.random`` out of an
-``estimate`` process, which imports it only to redo a trial whose draw
-Lemire's method rejects: on G(20, 0.4) importing it raises the process's peak
-RSS from 34 to 37 MB.  The block reads each ``uint64`` word as two ``uint32``
-halves through a little-endian view, low half first on any host, as
-``integers`` consumes them.
+The block takes its trials' PCG64 words from :func:`hamb.pcg.stream_words`,
+1024 trials at a time, and draws from them as ``Generator.integers`` does.  A
+trial whose draw Lemire's method rejects is redone on the reference path, from
+its ``Stream``, so an ``estimate`` process never loads ``numpy.random`` (on
+G(20, 0.4) that import would raise its peak RSS from 34 to 37 MB).  The block
+reads each ``uint64`` word as two ``uint32`` halves through a little-endian
+view, low half first on any host, as ``integers`` consumes them.
 So every trial takes exactly the value the reference path gives it and the
 report equals, byte for byte, the report of running the trials one at a time.
 """
@@ -62,7 +60,7 @@ import numpy as np
 from .errors import PolicyError
 from .graphs import CycleWitness, DiGraph, check_integer
 from .io import sha256_hex
-from .pcg import _M32, _PCG_MULT_HI, _PCG_MULT_LO, _absorb, _pcg64_seed, _seed_pool
+from .pcg import Stream, stream_words
 
 
 class RowOrderPolicy(NamedTuple("RowOrderPolicy", [("kind", str), ("start", int | None),
@@ -146,16 +144,9 @@ class EstimateReport(NamedTuple):
     policy: str
 
 
-def trial_stream(seed: int, trial_index: int) -> np.random.Generator:
-    """Deterministic sub-stream for one trial.
-
-    This is the documented splittable construction:
-    ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(trial_index,))))``.
-    """
-    ss = np.random.SeedSequence(
-        entropy=check_integer(seed, "seed"), spawn_key=(check_integer(trial_index, "trial index"),)
-    )
-    return np.random.Generator(np.random.PCG64(ss))
+def trial_stream(seed: int, trial_index: int) -> Stream:
+    """One trial's stream: ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(trial_index,))))``."""
+    return Stream(check_integer(seed, "seed"), check_integer(trial_index, "trial index"))
 
 
 def _check_policy(g: DiGraph, policy: RowOrderPolicy) -> None:
@@ -231,8 +222,8 @@ def _make_outcome(g: DiGraph, ps: list[int], cycle: list[int] | None) -> TrialOu
     return TrialOutcome(value=value, witness=witness, p_factors=factors)
 
 
-def trial_with_policy(g: DiGraph, policy: RowOrderPolicy, stream: np.random.Generator) -> TrialOutcome:
-    """One randomized trial under the given row-order policy."""
+def trial_with_policy(g: DiGraph, policy: RowOrderPolicy, stream: Stream) -> TrialOutcome:
+    """One randomized trial under the given row-order policy, drawing from ``stream``."""
     _check_policy(g, policy)
     ps, cycle = _run(g, policy, lambda cand: cand[int(stream.integers(len(cand)))])
     return _make_outcome(g, ps, cycle)
@@ -282,18 +273,17 @@ def enumerate_branches(g: DiGraph, policy: RowOrderPolicy) -> Iterator[tuple[Fra
 
 # --- Lockstep kernel -------------------------------------------------------
 #
-# The words of ``trial_stream(seed, t)`` are computed the way numpy computes
-# them: SeedSequence's entropy pool and PCG64's seeding (``hamb.pcg``), PCG64's
-# XSL-RR generator (pcg64.h), and ``Generator.integers(w)``, which is Lemire's
-# method on the uint32 halves, low half first, of PCG64's raw outputs
-# (distributions.c) and reads nothing when ``w == 1``.
+# A block reads the words of ``trial_stream(seed, t)`` from ``stream_words``
+# and draws as ``Generator.integers(w)``: Lemire's method on the uint32
+# halves, low half first, of PCG64's raw outputs (distributions.c), reading
+# nothing when ``w == 1``.
 
 # Trials per lockstep block.  On undirected G(20, 0.4), 10k trials, 2048 in
 # place of 1024 took ~11 % off ``estimate`` over the three policies, and
 # raised an ``estimate`` process's peak RSS from 33.4 to 33.8 MB: the
 # candidate gather casts its (2048, n) index to intp.
 _BLOCK = 2048
-_SEED_SLICE = 1024  # trials seeded per _stream_words call, which bounds its temporaries
+_SEED_SLICE = 1024  # trials seeded per stream_words call, which bounds its temporaries
 MAX_TRIALS = 1 << 64  # trial indices are uint64
 # Lemire rejects a draw of width w when the low half of x * w is below 2**32 % w.
 _LEMIRE_THRESHOLD = np.array([0] + [(1 << 32) % w for w in range(1, 65)], dtype=np.uint64)
@@ -301,47 +291,10 @@ _LEMIRE_THRESHOLD = np.array([0] + [(1 << 32) % w for w in range(1, 65)], dtype=
 # numpy scalar of the array's dtype: under numpy 1.x, a uint64 array combined
 # with a signed array becomes float64.
 _U1, _U2, _U3, _U4, _U7, _U8, _U32, _U56 = (np.uint64(s) for s in (1, 2, 3, 4, 7, 8, 32, 56))
-_BYTE = np.uint64(0xFF)
+_BYTE, _M32 = np.uint64(0xFF), np.uint64(0xFFFFFFFF)
 _M1, _M2, _M4 = np.uint64(0x5555555555555555), np.uint64(0x3333333333333333), np.uint64(0x0F0F0F0F0F0F0F0F)
 _L8, _H8 = np.uint64(0x0101010101010101), np.uint64(0x8080808080808080)  # 0x01, 0x80 in every byte lane
 _ROW, _LABEL = np.uint16(0xFF00), np.uint16(0x00FF)  # the halves of an _expand entry
-
-
-def _mul_add128(hi, lo, inc_hi, inc_lo):
-    """One PCG64 LCG step, state * multiplier + inc mod 2**128, on uint64 halves."""
-    a0, a1 = lo & _M32, lo >> 32
-    b0, b1 = _PCG_MULT_LO & _M32, _PCG_MULT_LO >> 32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
-    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    lo_out = lo * _PCG_MULT_LO + inc_lo
-    hi_out = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + carry + inc_hi + (lo_out < inc_lo)
-    return hi_out, lo_out
-
-
-def _stream_words(seed: int, trials: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` raw outputs of ``trial_stream(seed, t)``, per row.
-
-    Equals ``np.random.PCG64(SeedSequence(entropy=seed, spawn_key=(t,))).
-    random_raw(count)`` for each uint64 ``t`` in ``trials``.
-    """
-    pool, hash_const = _seed_pool(seed)
-    pool, next_const = _absorb(pool, hash_const, trials & _M32)
-    wide = trials >> 32 != 0  # an index of 2**32 or more is a second spawn-key word
-    if wide.any():
-        wide_pool = _absorb(pool, next_const, trials >> 32)[0]
-        pool = [np.where(wide, w, p) for p, w in zip(pool, wide_pool)]
-    init_hi, init_lo, inc_hi, inc_lo = _pcg64_seed(pool)
-    del pool  # a block's (trials,) temporaries set its peak memory
-    # Seeding steps the LCG from state 0 (giving inc), adds initstate and steps again.
-    lo = inc_lo + init_lo
-    hi, lo = _mul_add128(inc_hi + init_hi + (lo < init_lo), lo, inc_hi, inc_lo)
-    out = np.empty((len(trials), count), dtype=np.uint64)
-    for j in range(count):
-        hi, lo = _mul_add128(hi, lo, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> 58
-        out[:, j] = x >> rot | x << (64 - rot & 63)
-    return out
 
 
 def _draw(width, u32, live, nxt, widths, step, redo):
@@ -507,7 +460,7 @@ def _block_values(g: DiGraph, policy: RowOrderPolicy, seed: int, trials: range) 
         raw = np.empty((stop - first, g.n // 2), dtype=np.uint64)
         for at in range(first, stop, _SEED_SLICE):
             until = min(at + _SEED_SLICE, stop)
-            raw[at - first:until - first] = _stream_words(seed, np.arange(at, until, dtype=np.uint64), g.n // 2)
+            raw[at - first:until - first] = stream_words(seed, np.arange(at, until, dtype=np.uint64), g.n // 2)
         hits, widths, redo = kernel(raw.astype("<u8", copy=False).view("<u4"))
         values = {b: math.prod(row) for b, row in zip(hits.tolist(), widths[:, hits].T.tolist())}
         for b in redo:

@@ -5,7 +5,8 @@ Two graph formats are accepted.  The text format starts with a header line
 ``u v`` with 1-based labels; the object format is a JSON document with keys
 ``n``, ``kind``, ``edges``.  Malformed input raises :class:`ParseError` with
 the line (and, for a bad label, the column) of the fault.  A table-policy
-file holds one row of integers per line.
+file holds one row of integers per line.  Graph and table files decode as
+UTF-8, past a leading byte-order mark.
 """
 from __future__ import annotations
 
@@ -167,7 +168,7 @@ def load_table_policy(path: str) -> RowOrderPolicy:
     from .estimator import RowOrderPolicy
 
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise PolicyError(f"cannot read table file {path}: {e}") from None
     rows: list[list[int]] = []

@@ -1,12 +1,12 @@
-"""numpy's SeedSequence and PCG64, recomputed without ``numpy.random``.
+"""numpy's SeedSequence and PCG64: every seeded draw in hamb comes from here.
 
 The seeding helpers follow SeedSequence's entropy pool
 (numpy/random/bit_generator.pyx) and work on Python ints and on ``uint64``
-arrays alike: the estimator's lockstep kernel seeds a whole block of trial
-streams with them.  :class:`Stream` is one seeded generator in plain Python,
-``numpy.random.Generator(PCG64(SeedSequence(seed)))`` call by call, for the
-few draws that ``gen_gnp`` and ``selftest`` make; numpy stays the oracle that
-the tests hold it to.
+arrays alike.  :class:`Stream` is one generator in plain Python, seeded as
+``SeedSequence(seed)`` or, for trial ``t``, as ``SeedSequence(entropy=seed,
+spawn_key=(t,))``; :func:`stream_words` gives the first raw words of many
+trial streams at once, for the estimator's lockstep blocks.  So no module
+loads ``numpy.random``; numpy is the oracle that the tests hold both to.
 """
 from __future__ import annotations
 
@@ -19,6 +19,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 _PCG_MULT = _PCG_MULT_HI << 64 | _PCG_MULT_LO
+
+
+def _words(value: int, least: int) -> list[int]:
+    """The uint32 words of ``value``, low word first, at least ``least`` of them."""
+    return [value >> 32 * i & _M32 for i in range(max(least, -(-value.bit_length() // 32)))]
 
 
 def _hashmix(value, hash_const: int, mult: int = _MULT_A):
@@ -43,14 +48,13 @@ def _absorb(pool: list, hash_const: int, word) -> tuple[list, int]:
     return out, hash_const
 
 
-def _seed_pool(seed: int) -> tuple[list[int], int]:
-    """SeedSequence pool after the run entropy ``seed``, and the hash constant.
+def _seed_pool(seed: int, key: int | None = None) -> tuple[list[int], int]:
+    """The pool of ``SeedSequence(entropy=seed, spawn_key=(key,))``, or with no key, and the hash constant.
 
-    This is ``SeedSequence(seed).pool``.  A spawn key pads the run entropy to
-    the pool size, so its words are always absorbed after it, by
-    :func:`_absorb`.
+    A spawn key pads the seed's words to the pool size, so the key's words
+    (two from 2**32 on) are always absorbed after the seed's, by :func:`_absorb`.
     """
-    words = [seed >> 32 * i & _M32 for i in range(max(_POOL_SIZE, -(-seed.bit_length() // 32)))]
+    words = _words(seed, _POOL_SIZE) + ([] if key is None else _words(key, 1))
     hash_const = _INIT_A
     pool = []
     for word in words[:_POOL_SIZE]:
@@ -82,7 +86,7 @@ def _pcg64_seed(pool: list):
 
 
 class Stream:
-    """``numpy.random.Generator(PCG64(SeedSequence(seed)))``, call by call.
+    """``Generator(PCG64(SeedSequence(seed)))``, or with ``spawn_key=(t,)``, call by call.
 
     PCG64 is the XSL-RR output of a 128-bit LCG.  Seeding steps the LCG from
     state 0, adds initstate and steps again.  ``random`` reads one word;
@@ -93,8 +97,8 @@ class Stream:
 
     __slots__ = ("_state", "_inc", "_half")
 
-    def __init__(self, seed: int):
-        init_hi, init_lo, inc_hi, inc_lo = _pcg64_seed(_seed_pool(seed)[0])
+    def __init__(self, seed: int, t: int | None = None):
+        init_hi, init_lo, inc_hi, inc_lo = _pcg64_seed(_seed_pool(seed, t)[0])
         self._inc = inc_hi << 64 | inc_lo
         self._state = ((self._inc + (init_hi << 64 | init_lo)) * _PCG_MULT + self._inc) & _M128
         self._half: int | None = None
@@ -132,8 +136,10 @@ class Stream:
         lo = float(lo)
         return lo + (float(hi) - lo) * self.random()
 
-    def integers(self, lo: int, hi: int, size: int | None = None) -> int | list[int]:
-        """Ints in [lo, hi) for hi - lo <= 2**32: one, or a list of ``size``."""
+    def integers(self, lo: int, hi: int | None = None, size: int | None = None) -> int | list[int]:
+        """Ints in [lo, hi), or in [0, lo) with no ``hi``, for hi - lo <= 2**32: one, or ``size``."""
+        if hi is None:
+            lo, hi = 0, lo
         width = hi - lo
         if not 1 <= width <= 1 << 32:
             raise ValueError(f"integers needs 1 <= hi - lo <= 2**32, got {lo}, {hi}")
@@ -141,3 +147,41 @@ class Stream:
             return lo + self._bounded(width)
         return [lo + self._bounded(width) for _ in range(size)]
 
+
+def _mul_add128(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step, state * multiplier + inc mod 2**128, on uint64 halves."""
+    a0, a1 = lo & _M32, lo >> 32
+    b0, b1 = _PCG_MULT_LO & _M32, _PCG_MULT_LO >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    lo_out = lo * _PCG_MULT_LO + inc_lo
+    hi_out = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + carry + inc_hi + (lo_out < inc_lo)
+    return hi_out, lo_out
+
+
+def stream_words(seed: int, trials, count: int):
+    """The first ``count`` raw outputs of ``Stream(seed, t)``, one row per ``t``.
+
+    ``trials`` is a ``uint64`` array.  Each row equals
+    ``PCG64(SeedSequence(entropy=seed, spawn_key=(t,))).random_raw(count)``.
+    """
+    import numpy as np
+
+    pool, hash_const = _seed_pool(seed)
+    pool, next_const = _absorb(pool, hash_const, trials & _M32)
+    wide = trials >> 32 != 0  # an index of 2**32 or more is a second spawn-key word
+    if wide.any():
+        wide_pool = _absorb(pool, next_const, trials >> 32)[0]
+        pool = [np.where(wide, w, p) for p, w in zip(pool, wide_pool)]
+    init_hi, init_lo, inc_hi, inc_lo = _pcg64_seed(pool)
+    del pool  # a block's (trials,) temporaries set its peak memory
+    # Seeding steps the LCG from state 0 (giving inc), adds initstate and steps again.
+    lo = inc_lo + init_lo
+    hi, lo = _mul_add128(inc_hi + init_hi + (lo < init_lo), lo, inc_hi, inc_lo)
+    out = np.empty((len(trials), count), dtype=np.uint64)
+    for j in range(count):
+        hi, lo = _mul_add128(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        out[:, j] = x >> rot | x << (64 - rot & 63)
+    return out

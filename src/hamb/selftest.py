@@ -1,9 +1,7 @@
 """Built-in verification suites behind the ``selftest`` CLI command.
 
 Every suite draws its graphs deterministically, from seeded
-:class:`hamb.pcg.Stream` generators, which give the draws of
-``numpy.random.default_rng`` without loading ``numpy.random``, so repeated
-runs agree.  The invariant suite re-checks stored adjacency data rather than
+:class:`hamb.pcg.Stream` generators, so repeated runs agree.  The invariant suite re-checks stored adjacency data rather than
 trusting the constructors, so a graph injected past validation (say, a
 digraph with a diagonal one) makes it fail.
 """

@@ -290,6 +290,22 @@ LATE_ENDS = build_digraph(8, [(u, v) for u in range(1, 9) for v in range(1, 9) i
 MIXED_TABLE = [[1] * 8 if i % 2 == 0 else [1 + (i * j) % (8 - i) for j in range(8)] for i in range(8)]
 
 
+class TestReferenceStream:
+    """``trial_stream`` is a ``hamb.pcg.Stream``; numpy's spawned generator is its oracle."""
+
+    @pytest.mark.parametrize("seed", [*LOCKSTEP_SEEDS, 2**130 + 3])
+    def test_trial_with_policy_equals_numpy_generator(self, seed):
+        g = gen_gnp(12, 0.6, 5, "digraph")
+        values = []
+        for t in [*range(20), 2**32 - 1, 2**32, 2**64 - 1]:
+            for policy in _policies(g.n, t):
+                ss = np.random.SeedSequence(entropy=seed, spawn_key=(t,))
+                want = trial_with_policy(g, policy, np.random.Generator(np.random.PCG64(ss)))
+                assert trial_with_policy(g, policy, trial_stream(seed, t)) == want, (t, policy)
+                values.append(want.value)
+        assert 0 < values.count(0) < len(values)
+
+
 class TestLockstep:
     """The lockstep kernel behind ``estimate`` against the scalar reference path."""
 
@@ -369,14 +385,6 @@ class TestLockstep:
             top = range(2**64 - 3, 2**64)  # the last trial indices a uint64 holds
             assert list(_lockstep_values(g, policy, 7, top)) == _scalar_values(g, policy, 7, top)
 
-    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 12 * 10**21, 2**130 + 3])
-    def test_stream_words_match_numpy(self, seed):
-        trials = [*range(20), 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]
-        got = estimator._stream_words(seed, np.array(trials, dtype=np.uint64), 6)
-        for row, t in zip(got, trials):
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(t,))
-            assert row.tolist() == np.random.PCG64(ss).random_raw(6).tolist()
-
     def test_rejected_draws_replay_on_scalar_path(self, monkeypatch):
         # Zeroing the low half of a trial's first word makes Lemire's method
         # reject its first draw (width 6 from vertex 1, and 2**32 % 6 != 0);
@@ -385,7 +393,7 @@ class TestLockstep:
         assert bin(g.rows[0]).count("1") == 6
         policy = RowOrderPolicy.follow_path(1)
         want = _scalar_values(g, policy, 9, range(600))
-        real_words = estimator._stream_words
+        real_words = estimator.stream_words
         replayed = []
 
         def words(seed, trials, count):
@@ -397,7 +405,7 @@ class TestLockstep:
             replayed.append(t)
             return trial_stream(seed, t)
 
-        monkeypatch.setattr(estimator, "_stream_words", words)
+        monkeypatch.setattr(estimator, "stream_words", words)
         monkeypatch.setattr(estimator, "trial_stream", counting_stream)
         report = estimate(g, policy, 600, 9)
         assert replayed == list(range(0, 600, 7))
@@ -419,7 +427,7 @@ class TestLockstep:
         outcomes = [trial_with_policy(g, policy, trial_stream(9, t)) for t in range(600)]
         rejected = [t for t, o in enumerate(outcomes)
                     if t % 3 == 0 and min(o.p_factors[:2]) > 1 and o.p_factors[2] & (o.p_factors[2] - 1)]
-        real_words = estimator._stream_words
+        real_words = estimator.stream_words
         replayed = []
 
         def words(seed, trials, count):
@@ -431,7 +439,7 @@ class TestLockstep:
             replayed.append(t)
             return trial_stream(seed, t)
 
-        monkeypatch.setattr(estimator, "_stream_words", words)
+        monkeypatch.setattr(estimator, "stream_words", words)
         monkeypatch.setattr(estimator, "trial_stream", counting_stream)
         got = list(_lockstep_values(g, policy, 9, range(600)))
         assert replayed == rejected and len(rejected) > 20

@@ -1,4 +1,4 @@
-"""The numpy-free SeedSequence/PCG64 replica against numpy itself."""
+"""hamb.pcg, the program's one SeedSequence/PCG64, against numpy itself."""
 from __future__ import annotations
 
 import random
@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from hamb import build_digraph, build_undigraph, gen_gnp, to_symmetric_digraph
-from hamb.pcg import Stream
+from hamb.pcg import Stream, stream_words
 
 SEEDS = [*range(301), 2**32 - 1, 2**32, 2**64, 2**128 + 5]
+# (seed, t) for trial streams, Stream(seed, t): from 2**32 on, t is two spawn-key words.
+SPAWNED = [(seed, t) for seed in (0, 7, 2**64, 2**130 + 3) for t in (0, 1, 19, 2**32 - 1, 2**32, 2**64 - 1)]
 # Widths for integers(): 1 reads nothing, 2**32 reads a raw uint32 half, and
 # 2**31 + 3 rejects almost half of its draws.
 WIDTHS = [1, 2, 3, 7, 64, 2**31 + 3, 2**32 - 1, 2**32]
@@ -19,11 +21,13 @@ def _calls(seed: int, count: int):
     """A mixed sequence of (method, args, kwargs) calls, drawn from ``seed``."""
     pick = random.Random(seed)
     for _ in range(count):
-        kind = pick.randrange(4)
+        kind = pick.randrange(5)
         if kind == 0:
             yield "random", (), {}
         elif kind == 1:
             yield "uniform", (pick.choice([0.0, -1.5, 0.2]), pick.choice([1.0, 0.8, 1e6])), {}
+        elif kind == 4:  # the one-argument form that trial_with_policy calls
+            yield "integers", (pick.choice(WIDTHS),), {}
         else:
             lo = pick.randrange(-5, 50)
             size = {} if kind == 2 else {"size": pick.randrange(1, 6)}
@@ -31,13 +35,24 @@ def _calls(seed: int, count: int):
 
 
 def test_stream_equals_numpy_call_by_call():
-    for seed in SEEDS:
-        mine, theirs = Stream(seed), np.random.default_rng(seed)
+    for seed, t in [*((seed, None) for seed in SEEDS), *SPAWNED]:
+        mine = Stream(seed, t)
+        key = () if t is None else (t,)
+        theirs = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
         for i, (method, args, kwargs) in enumerate(_calls(seed, 120)):
             want = getattr(theirs, method)(*args, **kwargs)
             if "size" in kwargs:
                 want = want.tolist()
-            assert getattr(mine, method)(*args, **kwargs) == want, (seed, i, method, args, kwargs)
+            assert getattr(mine, method)(*args, **kwargs) == want, (seed, t, i, method, args, kwargs)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 12 * 10**21, 2**130 + 3])
+def test_stream_words_match_numpy(seed):
+    trials = [*range(20), 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]
+    got = stream_words(seed, np.array(trials, dtype=np.uint64), 6)
+    for row, t in zip(got, trials):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(t,))
+        assert row.tolist() == np.random.PCG64(ss).random_raw(6).tolist()
 
 
 def _numpy_gnp(n: int, p: float, seed: int, kind: str):
@@ -63,3 +78,5 @@ def test_integers_rejects_wide_or_empty_ranges():
         Stream(0).integers(0, 2**32 + 1)
     with pytest.raises(ValueError):
         Stream(0).integers(3, 3)
+    with pytest.raises(ValueError):
+        Stream(0).integers(0)
