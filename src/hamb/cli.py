@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import GraphSizeError, ParseError, PolicyError
-from .graphs import FAMILIES, GRAPH_KINDS, DiGraph, UndiGraph, gen_family, gen_gnp, row_sums, to_symmetric_digraph
+from .graphs import FAMILIES, GRAPH_KINDS, HARD_MAX_N, DiGraph, UndiGraph, gen_family, gen_gnp, row_sums, to_symmetric_digraph
 from .io import load_table_policy, parse_graph, serialize_graph, sha256_hex
 
 if TYPE_CHECKING:
@@ -265,6 +265,8 @@ def _cmd_compare(args) -> int:
 
     lo, hi = _parse_range(args.n)
     _check_draw_args(args, "--family", args.family, lo)
+    if hi > HARD_MAX_N:
+        raise GraphSizeError(f"n={max(lo, HARD_MAX_N + 1)} exceeds the vertex cap of {HARD_MAX_N}")
     rows = []
     for n in range(lo, hi + 1):
         if args.family == "gnp":

@@ -21,7 +21,8 @@ The dynamic program fills one popcount layer of (subset, endpoint) states at a
 time, and stores for each endpoint only the subsets that contain it, so no
 state is a structural zero: half the entries of a full endpoint-by-subset
 table.  It builds the next layer a chunk of subsets at a time by adding the
-rows of each endpoint's in-neighbours; the permanent is Ryser's
+rows of each endpoint's in-neighbours, and frees each layer as it reads it, so
+about one layer is alive at a time; the permanent is Ryser's
 inclusion-exclusion over column subsets, also taken a chunk of subsets at a
 time.  Both run once in wrapping ``uint64`` arithmetic, which yields the
 result modulo 2^64.  A Hamiltonian cycle is a permutation, so
@@ -211,60 +212,77 @@ def _ham_dp_residue(m: ContractedMatrix, p: int) -> int:
     rows = m.rows
     for layer in _ham_dp_layers(m, p):
         pass
-    return sum(int(layer[v, 0]) for v in range(m.n - 1) if rows[v + 1] & 1) % (p or 1 << 64)
+    return sum(int(layer[v][0][0]) for v in range(m.n - 1) if rows[v + 1] & 1) % (p or 1 << 64)
 
 
-def _ham_dp_layers(m: ContractedMatrix, p: int) -> Iterator[np.ndarray]:
+def _ham_dp_layers(m: ContractedMatrix, p: int) -> Iterator[list[list[np.ndarray]]]:
     """The popcount layers L = 1..n-1 of the subset DP, modulo p (2^64 if 0).
 
     Vertex 1 is the start, and vertices 2..n are bits 0..k-1 of a subset.
-    Layer L is a k x C(k-1, L-1) table: row w has one entry per L-subset S
-    that contains w, in ascending order of S, and counts the paths from
-    vertex 1 through exactly S that end at w.  Layer L comes from layer L-1 a
-    chunk of the (L-1)-subsets T at a time, in ascending order:
+    Layer L has k rows: row w has one entry per L-subset S that contains w,
+    in ascending order of S, and counts the paths from vertex 1 through
+    exactly S that end at w.  A row is a list of ``uint64`` segments, which
+    concatenate to its entries.  Layer L comes from layer L-1 a chunk of the
+    (L-1)-subsets T at a time, in ascending order:
 
     - expand: row v's entries for the chunk's T that hold v are the next ones
-      in that row, so they spread into a k x chunk block, zero elsewhere;
-    - add: the rows of w's in-neighbours sum to the paths that extend to w
-      from each T, reduced modulo p;
+      in that row, so they are taken off its front and spread into a
+      k x chunk block, zero elsewhere;
+    - add: for each w, the rows of w's in-neighbours sum to the paths that
+      extend to w from each T, in one reused buffer;
     - compress: T -> T + {w} keeps the order of the T without w, so their
-      sums are the next entries of row w of layer L.
+      sums, reduced modulo p, are the next segment of row w of layer L.
 
-    Only two layers and one chunk are alive at a time.
+    Each row of layer L-1 is read, and each row of layer L written, strictly
+    in order, so a segment is freed once it has been read: what is alive is
+    the unread part of one layer, the written part of the next and one chunk,
+    about the larger of the two layers.  The consumer must read a layer before
+    it asks for the next one, which empties it.
     """
     import numpy as np
 
     rows = m.rows
     k = m.n - 1
     preds = [[v for v in range(k) if rows[v + 1] >> w + 1 & 1] for w in range(k)]
-    layer = np.array([[rows[0] >> w + 1 & 1] for w in range(k)], dtype=np.uint64)
+    layer = [[np.array([rows[0] >> w + 1 & 1], dtype=np.uint64)] for w in range(k)]
     yield layer
     weights = (1 << np.arange(k, dtype=np.int32))[:, None]
-    for size, subsets in zip(range(2, k + 1), _layer_masks(k)):
-        nxt = np.empty((k, math.comb(k - 1, size - 1)), dtype=np.uint64)
-        # Of the first `start` T, taken[v] hold v (read from row v of layer
-        # L-1) and the other start - taken[v] filled row v of layer L.
-        taken = [0] * k
+    buf, modulus = np.empty(_LAYER_CHUNK, dtype=np.uint64), np.uint64(p)
+    for subsets in itertools.islice(_layer_masks(k), k - 1):
+        nxt = [[] for _ in range(k)]
         for start in range(0, len(subsets), _LAYER_CHUNK):
             bits = (subsets[start:start + _LAYER_CHUNK] & weights).astype(bool)
             width = bits.shape[1]
             counts = np.count_nonzero(bits, axis=1).tolist()
             block = np.zeros(bits.shape, dtype=np.uint64)
-            block[bits] = np.concatenate([layer[v, taken[v]:taken[v] + c] for v, c in enumerate(counts)])
-            sums = np.zeros_like(block)
-            for row, vs in zip(sums, preds):
-                for v in vs:
-                    row += block[v]
-            if p:
-                sums %= np.uint64(p)
-            kept, done = sums[~bits], 0
-            for w, c in enumerate(counts):
-                put, rest = start - taken[w], width - c
-                nxt[w, put:put + rest] = kept[done:done + rest]
-                taken[w] += c
-                done += rest
+            block[bits] = np.concatenate([seg for row, c in zip(layer, counts) for seg in _take(row, c)])
+            free, sums = ~bits, buf[:width]
+            for w, vs in enumerate(preds):
+                if counts[w] == width:
+                    continue
+                sums[:] = block[vs[0]] if vs else 0
+                for v in vs[1:]:
+                    sums += block[v]
+                kept = sums[free[w]]
+                if p:
+                    kept %= modulus
+                nxt[w].append(kept)
         layer = nxt
         yield layer
+
+
+def _take(row: list[np.ndarray], c: int) -> list[np.ndarray]:
+    """Take the first c entries off the front of a row of segments."""
+    out = []
+    while c:
+        seg = row[0]
+        if len(seg) > c:
+            out.append(seg[:c])
+            row[0] = seg[c:]
+            break
+        out.append(row.pop(0))
+        c -= len(seg)
+    return out
 
 
 def _permanent_residue(m: ContractedMatrix, p: int) -> int:

@@ -370,6 +370,23 @@ class TestExitCodes:
         assert res.returncode == 3
         assert "10" in res.stderr
 
+    @pytest.mark.parametrize("family", [("complete",), ("gnp", "--p", "0.5")])
+    def test_size_error_compare_range_draws_no_row(self, monkeypatch, capsys, family):
+        # The range's top is checked against the vertex cap before the first
+        # row is drawn, and after the usage checks, which still win.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("compare drew a row")
+
+        monkeypatch.setattr(cli, "gen_family", no_draw)
+        monkeypatch.setattr(cli, "gen_gnp", no_draw)
+        for n, first in (("3..65", 65), ("70..80", 70)):
+            assert cli.main(["compare", "--family", *family, "--n", n]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"size limit: n={first} exceeds the vertex cap of 64\n"
+        assert cli.main(["compare", "--family", *family, "--n", "3..65", "--seed", "-1"]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_environment_cannot_lower_cap(self, tmp_path):
         # The vertex cap is the constant 64; no environment variable moves it.
         g = gen_gnp(10, 0.3, 1, "digraph")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -117,8 +118,10 @@ class TestHamDp:
         for p in (5, 101):
             layers = 0
             for size, layer in enumerate(exact._ham_dp_layers(g, p), 1):
-                assert layer.shape == (k, math.comb(k - 1, size - 1))
-                assert int(layer.max()) < p
+                assert len(layer) == k
+                for row in map(np.concatenate, layer):
+                    assert len(row) == math.comb(k - 1, size - 1)
+                    assert int(row.max()) < p
                 layers += 1
             assert layers == k
             assert exact._ham_dp_residue(g, p) == want % p
@@ -126,6 +129,7 @@ class TestHamDp:
     def test_layers_count_paths(self):
         # Row w of layer L: the paths from vertex 1 through exactly S that end
         # at w, for each L-subset S of vertices 2..n holding w, S ascending.
+        # A layer is read as it is yielded: building the next one empties it.
         g = gen_gnp(7, 0.6, 4, "digraph")
         k = g.n - 1
 
@@ -140,7 +144,33 @@ class TestHamDp:
         for size, layer in enumerate(exact._ham_dp_layers(g, 0), 1):
             subsets = sorted(s for s in range(1 << k) if s.bit_count() == size)
             for w in range(k):
-                assert layer[w].tolist() == [paths(s, w) for s in subsets if s >> w & 1]
+                assert np.concatenate(layer[w]).tolist() == [paths(s, w) for s in subsets if s >> w & 1]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_small_chunks_cross_segment_boundaries(self, monkeypatch, chunk):
+        # Chunks that split the layers' segments at every offset must give the
+        # counts and residues of the 4096-subset chunks and the Python DP.
+        graphs = [gen_gnp(13, 0.6, 1, "digraph"), gen_gnp(14, 0.5, 3, "digraph")]
+        want = [exact._ham_dp_small(g) for g in graphs]
+        monkeypatch.setattr(exact, "_LAYER_CHUNK", chunk)
+        for g, count in zip(graphs, want):
+            assert ham_dp(g) == count
+            for p in (5, 101):
+                assert exact._ham_dp_residue(g, p) == count % p
+
+    def test_layers_stream_in_memory(self):
+        # Only about one layer is alive: the largest layer at n = 18 holds
+        # 17 x C(16, 8) uint64 entries (1.67 MiB), and a kernel that keeps two
+        # whole layers beside its chunk temporaries peaks at ~5.2 MiB here.
+        g = gen_gnp(18, 0.5, 3, "digraph")
+        ham_dp(g)  # numpy's own first-call allocations stay outside the trace
+        tracemalloc.start()
+        try:
+            assert ham_dp(g) == 159667765
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 17 * math.comb(16, 8) * 8, peak
 
     def test_layer_masks_are_ascending_layers(self):
         for k in range(9):
