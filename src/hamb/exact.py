@@ -28,12 +28,12 @@ time.  Both run once in wrapping ``uint64`` arithmetic, which yields the
 result modulo 2^64.  A Hamiltonian cycle is a permutation, so
 count <= permanent <= the Bregman bound of :mod:`hamb.bounds`, and whenever
 that bound's integer cap is below 2^64 the residue is the result.  Above it,
-each kernel runs again modulo primes below 2^49, reducing after every step,
-until the moduli multiply past the cap, and the residues combine by CRT.  No
-step wraps in a prime pass: the dynamic program adds at most 23 residues, and
-the permanent multiplies a residue by a row sum of at most 24 and sums at
-most 2^12 residues at once.  For n <= 24 at most one prime is needed: no 0/1
-matrix's cap exceeds 24! < 2^80.
+each kernel runs again modulo one prime below 2^49, reducing after every
+step, and the two residues combine by CRT.  No step wraps in the prime pass:
+the dynamic program adds at most 23 residues, and the permanent multiplies a
+residue by a row sum of at most 24 and sums at most 2^12 residues at once.
+For n <= 24 one prime is enough: no 0/1 matrix's cap exceeds 24! < 2^80, and
+2^64 times the prime is about 2^113.
 
 ``estimator_expectation`` walks every branch of an estimator's random
 decision tree and returns the exact rational expectation, which must equal
@@ -62,8 +62,8 @@ DP_MAX_N = 24
 EXPECTATION_MAX_N = 8
 # ham_dp and permanent_ryser run in plain Python up to this n.
 SMALL_N = 12
-# Primes below 2^49 for the residue passes past 2^64.
-_PRIMES = (2**49 - 81, 2**49 - 111)
+# The prime below 2^49 for the residue pass past 2^64.
+_PRIME = 2**49 - 81
 # permanent_ryser takes 2^_CHUNK_BITS column subsets per chunk.
 _CHUNK_BITS = 13
 # ham_dp takes this many subsets of a layer per chunk.
@@ -186,19 +186,16 @@ def _from_residues(m: ContractedMatrix, residue: Callable[[ContractedMatrix, int
 
     ``residue(m, 0)`` is the count modulo 2^64 and ``residue(m, p)`` the count
     modulo p.  Hamiltonian cycles are permutations with no zero entry, so
-    count <= permanent <= cap; passes run, and combine by CRT, only until the
-    moduli multiply past the cap (none when a zero row pins it to 0).
+    count <= permanent <= cap < 2^64 * ``_PRIME``.  No pass runs when a zero
+    row pins the cap to 0, and the CRT pass modulo ``_PRIME`` runs only when
+    the cap reaches 2^64.
     """
     from .bounds import bregman_bound
 
     cap = bregman_bound(row_sums(m)).integer_cap
-    count, modulus = 0, 1
-    for p in (0,) + _PRIMES:
-        if cap < modulus:
-            break
-        q = p or 1 << 64
-        count += modulus * ((residue(m, p) - count) * pow(modulus, -1, q) % q)
-        modulus *= q
+    count = residue(m, 0) if cap else 0
+    if cap >> 64:
+        count += (residue(m, _PRIME) - count) * pow(1 << 64, -1, _PRIME) % _PRIME << 64
     return count
 
 

@@ -255,7 +255,7 @@ def gen_gnp(n: int, p: float, seed: int, kind: str = "undirected") -> DiGraph | 
         raise ValueError(f"kind must be one of {GRAPH_KINDS}, got {kind!r}")
     from .pcg import Stream
 
-    rng = Stream(check_integer(seed, "seed"))
+    rng = Stream(seed)
     if kind == "digraph":
         edges = [
             (u + 1, v + 1)

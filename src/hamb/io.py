@@ -4,9 +4,9 @@ Two graph formats are accepted.  The text format starts with a header line
 ``n m kind`` (kind is ``directed`` or ``undirected``) followed by m lines
 ``u v`` with 1-based labels; the object format is a JSON document with keys
 ``n``, ``kind``, ``edges``.  Malformed input raises :class:`ParseError` with
-the line (and, for a bad label, the column) of the fault.  A table-policy
-file holds one row of integers per line.  Graph and table files decode as
-UTF-8, past a leading byte-order mark.
+the line (and, for a bad label, the column) of the fault; a line ends only at
+``\\n``, ``\\r\\n`` or ``\\r``.  A table-policy file holds one row of integers
+per line.  Graph and table files decode as UTF-8, past a leading byte-order mark.
 """
 from __future__ import annotations
 
@@ -40,8 +40,8 @@ def _parse_header_int(token: str, what: str) -> int:
 
 
 def _parse_text(text: str) -> DiGraph | UndiGraph:
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    lines = re.split(r"\r\n?|\n", text)
+    if not lines[0].strip():
         raise ParseError("missing header line 'n m kind'", line=1)
     tokens = lines[0].split()
     if len(tokens) != 3:
@@ -96,7 +96,7 @@ def _parse_object(text: str) -> DiGraph | UndiGraph:
     import json
 
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid object syntax: {e.msg}", line=e.lineno, col=e.colno) from None
     except RecursionError:
@@ -128,6 +128,16 @@ def _parse_object(text: str) -> DiGraph | UndiGraph:
         _check_edge(u, v, n, index=idx)
         pairs.append((u, v))
     return _build(kind, n, pairs)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict, or ParseError on a repeated key (``json`` keeps the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r} in object form")
+        obj[key] = value
+    return obj
 
 
 def serialize_graph(g: DiGraph | UndiGraph, fmt: str = "text") -> str:
@@ -172,7 +182,7 @@ def load_table_policy(path: str) -> RowOrderPolicy:
     except (OSError, UnicodeDecodeError) as e:
         raise PolicyError(f"cannot read table file {path}: {e}") from None
     rows: list[list[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
         if not raw.strip():
             continue
         try:

@@ -10,6 +10,8 @@ loads ``numpy.random``; numpy is the oracle that the tests hold both to.
 """
 from __future__ import annotations
 
+from .graphs import check_integer
+
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
@@ -88,16 +90,19 @@ def _pcg64_seed(pool: list):
 class Stream:
     """``Generator(PCG64(SeedSequence(seed)))``, or with ``spawn_key=(t,)``, call by call.
 
-    PCG64 is the XSL-RR output of a 128-bit LCG.  Seeding steps the LCG from
-    state 0, adds initstate and steps again.  ``random`` reads one word;
-    ``integers`` reads uint32 halves of the words, low half first, and keeps
-    an unread high half for the next ``integers`` call, as the bit generator
-    does, whatever ``random`` reads in between.
+    ``random`` reads one word; ``integers`` reads uint32 halves of the words,
+    low half first, and keeps an unread high half for the next ``integers``
+    call, as the bit generator does, whatever ``random`` reads in between.
+    PCG64 is the XSL-RR output of a 128-bit LCG; seeding steps it from state
+    0, adds initstate and steps again.  A seed or ``t`` that is not an int >= 0 raises ValueError.
     """
 
     __slots__ = ("_state", "_inc", "_half")
 
     def __init__(self, seed: int, t: int | None = None):
+        check_integer(seed, "seed")
+        if t is not None:
+            check_integer(t, "trial index")
         init_hi, init_lo, inc_hi, inc_lo = _pcg64_seed(_seed_pool(seed, t)[0])
         self._inc = inc_hi << 64 | inc_lo
         self._state = ((self._inc + (init_hi << 64 | init_lo)) * _PCG_MULT + self._inc) & _M128
@@ -117,11 +122,9 @@ class Stream:
 
     def _bounded(self, width: int) -> int:
         """A draw from range(width): Lemire's method on uint32s, as numpy's
-        ``Generator.integers`` draws it (distributions.c)."""
+        ``Generator.integers`` draws it (distributions.c); width 2**32 accepts every uint32."""
         if width == 1:
             return 0
-        if width == 1 << 32:
-            return self._next32()
         threshold = (1 << 32) % width
         while True:
             m = self._next32() * width
@@ -132,20 +135,13 @@ class Stream:
         """A float in [0, 1) from the word's top 53 bits."""
         return (self._next64() >> 11) * 2.0**-53
 
-    def uniform(self, lo: float, hi: float) -> float:
-        lo = float(lo)
-        return lo + (float(hi) - lo) * self.random()
-
-    def integers(self, lo: int, hi: int | None = None, size: int | None = None) -> int | list[int]:
-        """Ints in [lo, hi), or in [0, lo) with no ``hi``, for hi - lo <= 2**32: one, or ``size``."""
-        if hi is None:
-            lo, hi = 0, lo
-        width = hi - lo
+    def integers(self, width: int, *, size: int | None = None) -> int | list[int]:
+        """Ints in [0, width), for 1 <= width <= 2**32: one, or a list of ``size``."""
         if not 1 <= width <= 1 << 32:
-            raise ValueError(f"integers needs 1 <= hi - lo <= 2**32, got {lo}, {hi}")
+            raise ValueError(f"integers needs 1 <= width <= 2**32, got {width}")
         if size is None:
-            return lo + self._bounded(width)
-        return [lo + self._bounded(width) for _ in range(size)]
+            return self._bounded(width)
+        return [self._bounded(width) for _ in range(size)]
 
 
 def _mul_add128(hi, lo, inc_hi, inc_lo):

@@ -92,8 +92,8 @@ def _suite_oracle_agreement() -> tuple[bool, str]:
         checked += 1
     rng = Stream(2024)
     for _ in range(50):
-        n = rng.integers(5, 9)
-        g = gen_gnp(n, rng.uniform(0.2, 0.8), rng.integers(0, 2**32), kind="digraph")
+        n = 5 + rng.integers(4)
+        g = gen_gnp(n, 0.2 + (0.8 - 0.2) * rng.random(), rng.integers(2**32), kind="digraph")
         ham = exact.ham_dp(g)
         if ham != exact.ham_bruteforce(g):
             return False, f"dp/brute mismatch on {g!r}"
@@ -107,7 +107,7 @@ def _policies_for(n: int, rng: Stream) -> list[RowOrderPolicy]:
     policies = [RowOrderPolicy.ascending()]
     policies.extend(RowOrderPolicy.follow_path(s) for s in range(1, n + 1))
     for _ in range(2):
-        table = [rng.integers(1, n - i + 1, size=n) for i in range(n)]
+        table = [[1 + x for x in rng.integers(n - i, size=n)] for i in range(n)]
         policies.append(RowOrderPolicy.from_table(table))
     return policies
 
@@ -154,8 +154,8 @@ def _degree_sequences() -> Iterator[list[int]]:
     """2000 seeded degree sequences, n in 3..50, degrees in 0..n-1."""
     rng = Stream(99)
     for _ in range(2000):
-        n = rng.integers(3, 51)
-        yield rng.integers(0, n, size=n)
+        n = 3 + rng.integers(48)
+        yield rng.integers(n, size=n)
 
 
 def _suite_dominance() -> tuple[bool, str]:

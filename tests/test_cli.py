@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hamb import ParseError, GraphSizeError, UndiGraph, DiGraph, cli, gen_gnp, gen_family, ham_dp, selftest
+from hamb import ParseError, GraphSizeError, PolicyError, UndiGraph, DiGraph, cli, gen_gnp, gen_family, ham_dp, selftest
 from hamb.io import load_table_policy, parse_graph, serialize_graph, sha256_hex
 from hamb.pcg import Stream
 
@@ -32,6 +32,18 @@ class TestParseGraph:
     def test_self_loop_position(self):
         with pytest.raises(ParseError) as exc:
             parse_graph("2 1 undirected\n1 1\n")
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("blank", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_lines_break_only_at_newlines(self, brk, blank):
+        with pytest.raises(ParseError, match="self-loop") as exc:
+            parse_graph(brk.join(["3 1 undirected", blank, "1 1", ""]))
+        assert exc.value.line == 3
+
+    def test_form_feed_stays_inside_its_edge_line(self):
+        with pytest.raises(ParseError, match="edge line must be 'u v'") as exc:
+            parse_graph("3 2 undirected\n1 2\f2 3\n")
         assert exc.value.line == 2
 
     def test_bad_header(self):
@@ -70,6 +82,15 @@ class TestParseGraph:
     def test_object_unknown_key(self):
         with pytest.raises(ParseError, match="unknown"):
             parse_graph('{"n": 2, "kind": "directed", "edges": [], "weighted": true}')
+
+    def test_object_duplicate_key(self, tmp_path, capsys):
+        # json keeps the last of two equal keys; a graph file must not depend on that.
+        text = '{"n": 3, "kind": "undirected", "edges": [[1,2],[2,3],[3,1]], "n": 4}'
+        with pytest.raises(ParseError, match="duplicate key 'n'"):
+            parse_graph(text)
+        (tmp_path / "dup.json").write_text(text)
+        assert cli.main(["exact", "--input", str(tmp_path / "dup.json")]) == 2
+        assert "duplicate key 'n'" in capsys.readouterr().err
 
     def test_cli_reexports_io(self):
         from hamb import cli, io
@@ -239,6 +260,15 @@ class TestCliCommands:
         plain.write_text("3 1 2\n1 2 1\n1 1 1\n")
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         assert load_table_policy(str(bom)) == load_table_policy(str(plain))
+
+    def test_table_file_lines_break_only_at_newlines(self, tmp_path):
+        table = tmp_path / "table.txt"
+        table.write_text("1 1 1\n\f\nx\n")
+        with pytest.raises(PolicyError, match="line 3: entries must be integers"):
+            load_table_policy(str(table))
+        table.write_text("1 1 1\f1 1 1\n1 1 1\n")  # two rows, not three
+        with pytest.raises(PolicyError):
+            load_table_policy(str(table))
 
     @pytest.mark.parametrize(
         "argv",
@@ -467,6 +497,19 @@ class TestSelftestCommand:
                 tuple(tuple(int(scalar_rng.integers(1, n - i + 1)) for _ in range(n)) for i in range(n))
                 for _ in range(2)
             ]
+
+    def test_oracle_agreement_draws_equal_numpy(self, monkeypatch):
+        # The suite adds its own offsets to Stream draws; each (n, p, seed)
+        # must still be what numpy's integers(5, 9), uniform(0.2, 0.8) and
+        # integers(0, 2**32) give on default_rng(2024).
+        calls = []
+        real = selftest.gen_gnp
+        monkeypatch.setattr(selftest, "gen_gnp", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        assert selftest._suite_oracle_agreement()[0]
+        rng = np.random.default_rng(2024)
+        want = [(int(rng.integers(5, 9)), float(rng.uniform(0.2, 0.8)), int(rng.integers(0, 2**32)))
+                for _ in range(50)]
+        assert calls == [(13, 0.5, 13), *want]
 
 
 # ``python -m hamb`` as ``-m`` runs it, then whether each of a tuple of modules

@@ -24,6 +24,7 @@ from hamb import (
     to_symmetric_digraph,
 )
 from hamb import exact
+from hamb.bounds import bregman_bound
 from hamb.exact import (
     estimator_expectation,
     ham_bruteforce,
@@ -270,11 +271,12 @@ def test_selftest_runs_numpy_kernels(monkeypatch):
 
 class TestResidueArithmetic:
     def test_prime_moduli(self):
-        primes = exact._PRIMES
-        assert all(p % 2 and p < 2**49 and pow(3, p - 1, p) == 1 for p in primes)
-        assert all(math.gcd(p, q) == 1 for p, q in itertools.combinations(primes, 2))
-        # The all-ones n x n matrix has the largest Bregman cap, n!.
-        assert 2**64 * math.prod(primes) > math.factorial(exact.DP_MAX_N)
+        p = exact._PRIME
+        assert p % 2 and p < 2**49 and all(pow(a, p - 1, p) == 1 for a in (2, 3, 5, 7))
+        # The all-ones n x n matrix has the largest Bregman cap, n! rounded up,
+        # so one pass modulo 2^64 and one modulo p cover every count to DP_MAX_N.
+        cap = bregman_bound((exact.DP_MAX_N,) * exact.DP_MAX_N).integer_cap
+        assert math.factorial(exact.DP_MAX_N) <= cap < 2**80 < 2**64 * p
 
     @pytest.mark.parametrize("n", [16, 21])
     def test_complete_digraph_is_exact_and_quiet(self, n):

@@ -21,17 +21,12 @@ def _calls(seed: int, count: int):
     """A mixed sequence of (method, args, kwargs) calls, drawn from ``seed``."""
     pick = random.Random(seed)
     for _ in range(count):
-        kind = pick.randrange(5)
-        if kind == 0:
+        kind = pick.randrange(3)
+        if kind == 0:  # the G(n, p) edge draw
             yield "random", (), {}
-        elif kind == 1:
-            yield "uniform", (pick.choice([0.0, -1.5, 0.2]), pick.choice([1.0, 0.8, 1e6])), {}
-        elif kind == 4:  # the one-argument form that trial_with_policy calls
-            yield "integers", (pick.choice(WIDTHS),), {}
-        else:
-            lo = pick.randrange(-5, 50)
-            size = {} if kind == 2 else {"size": pick.randrange(1, 6)}
-            yield "integers", (lo, lo + pick.choice(WIDTHS)), size
+        else:  # a trial's draw, or a selftest row
+            size = {} if kind == 1 else {"size": pick.randrange(1, 6)}
+            yield "integers", (pick.choice(WIDTHS),), size
 
 
 def test_stream_equals_numpy_call_by_call():
@@ -75,8 +70,15 @@ def test_gen_gnp_equals_numpy_draw(n, kind):
 
 def test_integers_rejects_wide_or_empty_ranges():
     with pytest.raises(ValueError):
-        Stream(0).integers(0, 2**32 + 1)
-    with pytest.raises(ValueError):
-        Stream(0).integers(3, 3)
+        Stream(0).integers(2**32 + 1)
     with pytest.raises(ValueError):
         Stream(0).integers(0)
+    with pytest.raises(TypeError):  # size is keyword-only, so no (lo, hi) form is left
+        Stream(0).integers(3, 3)
+
+
+@pytest.mark.parametrize("seed, t, name", [(-1, None, "seed"), (True, None, "seed"), (1.0, None, "seed"),
+                                           (0, -1, "trial index"), (0, True, "trial index")])
+def test_stream_checks_seed_and_trial_index(seed, t, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0"):
+        Stream(seed, t)
