@@ -250,6 +250,8 @@ def _check_draw_args(args, flag: str, choice: str, n: int) -> None:
     ``n`` is the smallest vertex count to draw."""
     if n < 1:
         raise UsageError(f"--n must be >= 1, got {n}")
+    if choice == "cycle" and n < 3:
+        raise UsageError(f"--n must be >= 3 for {flag} cycle, got {n}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if choice == "gnp":

@@ -234,7 +234,10 @@ def _ham_dp_layers(m: ContractedMatrix, p: int) -> Iterator[list[list[np.ndarray
     in order, so a segment is freed once it has been read: what is alive is
     the unread part of one layer, the written part of the next and one chunk,
     about the larger of the two layers.  The consumer must read a layer before
-    it asks for the next one, which empties it.
+    it asks for the next one, which empties it.  Every chunk array is dropped
+    at the end of its chunk: one still bound while the next chunk allocates,
+    or while a layer is yielded, would be a second chunk alive, and the
+    process's peak RSS would hold both.
     """
     import numpy as np
 
@@ -264,6 +267,7 @@ def _ham_dp_layers(m: ContractedMatrix, p: int) -> Iterator[list[list[np.ndarray
                 if p:
                     kept %= modulus
                 nxt[w].append(kept)
+            del bits, block, free, kept
         layer = nxt
         yield layer
 

@@ -6,7 +6,8 @@ Two graph formats are accepted.  The text format starts with a header line
 ``n``, ``kind``, ``edges``.  Malformed input raises :class:`ParseError` with
 the line (and, for a bad label, the column) of the fault; a line ends only at
 ``\\n``, ``\\r\\n`` or ``\\r``.  A table-policy file holds one row of integers
-per line.  Graph and table files decode as UTF-8, past a leading byte-order mark.
+per line.  An integer in a text file is ASCII digits with an optional sign.
+Graph and table files decode as UTF-8, past a leading byte-order mark.
 """
 from __future__ import annotations
 
@@ -32,9 +33,17 @@ def parse_graph(text: str, fmt: str | None = None) -> DiGraph | UndiGraph:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _int(token: str) -> int:
+    """``token`` as an integer, or ValueError: ``int`` alone also takes
+    ``1_0`` and non-ASCII digits such as the fullwidth ones."""
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise ValueError(token)
+    return int(token)
+
+
 def _parse_header_int(token: str, what: str) -> int:
     try:
-        return int(token)
+        return _int(token)
     except ValueError:
         raise ParseError(f"{what} must be an integer, got {token!r}", line=1) from None
 
@@ -67,7 +76,7 @@ def _parse_text(text: str) -> DiGraph | UndiGraph:
         pair = []
         for tok in toks:
             try:
-                pair.append(int(tok[0]))
+                pair.append(_int(tok[0]))
             except ValueError:
                 raise ParseError(
                     f"vertex label must be an integer, got {tok[0]!r}", line=lineno, col=tok.start() + 1
@@ -186,7 +195,7 @@ def load_table_policy(path: str) -> RowOrderPolicy:
         if not raw.strip():
             continue
         try:
-            rows.append([int(tok) for tok in raw.split()])
+            rows.append([_int(tok) for tok in raw.split()])
         except ValueError:
             raise PolicyError(f"table file {path} line {lineno}: entries must be integers") from None
     if not rows:

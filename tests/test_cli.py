@@ -58,6 +58,19 @@ class TestParseGraph:
                 parse_graph(f"3 1 directed\n{line}\n")
             assert (exc.value.line, exc.value.col) == (2, col), line
 
+    @pytest.mark.parametrize("digit", ["\uff13", "\u0663", "1_0"], ids=["fullwidth", "arabic-indic", "underscore"])
+    def test_integers_are_ascii_digits(self, digit):
+        # int() alone reads the fullwidth 3 and Arabic-Indic 3 as 3 and 1_0 as 10.
+        with pytest.raises(ParseError, match="n must be an integer") as exc:
+            parse_graph(f"{digit} 0 directed\n")
+        assert exc.value.line == 1
+        with pytest.raises(ParseError, match="m must be an integer"):
+            parse_graph(f"12 {digit} directed\n")
+        with pytest.raises(ParseError, match="vertex label must be an integer") as exc:
+            parse_graph(f"12 1 directed\n1  {digit}\n")
+        assert (exc.value.line, exc.value.col) == (2, 4)
+        assert parse_graph("+3 +1 directed\n+1 003\n").arcs() == [(1, 3)]
+
     def test_edge_count_mismatch(self):
         with pytest.raises(ParseError, match="declares 2"):
             parse_graph("3 2 undirected\n1 2\n")
@@ -261,6 +274,13 @@ class TestCliCommands:
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         assert load_table_policy(str(bom)) == load_table_policy(str(plain))
 
+    @pytest.mark.parametrize("entry", ["\uff11", "1_0"], ids=["fullwidth", "underscore"])
+    def test_table_entries_are_ascii_digits(self, tmp_path, entry):
+        table = tmp_path / "table.txt"
+        table.write_text(f"1 1 1\n1 {entry} 1\n1 1 1\n", encoding="utf-8")
+        with pytest.raises(PolicyError, match="line 2: entries must be integers"):
+            load_table_policy(str(table))
+
     def test_table_file_lines_break_only_at_newlines(self, tmp_path):
         table = tmp_path / "table.txt"
         table.write_text("1 1 1\n\f\nx\n")
@@ -342,6 +362,14 @@ class TestExitCodes:
         assert "usage error" in res.stderr
         assert not (tmp_path / "x.txt").exists()
 
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_usage_error_gen_short_cycle(self, tmp_path, n):
+        # gen reads no input, so a cycle too short to draw is a bad argument.
+        res = run_cli("gen", "--model", "cycle", "--n", n, "--out", "x.txt", cwd=tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith(f"usage error: --n must be >= 3 for --model cycle, got {n}"), res.stderr
+        assert not (tmp_path / "x.txt").exists()
+
     def test_usage_error_trials_past_uint64(self, tmp_path):
         # Trial indices are uint64, so a run holds at most 2^64 trials.
         (tmp_path / "c3.txt").write_text(serialize_graph(gen_family("cycle", 3, "undirected")))
@@ -364,6 +392,14 @@ class TestExitCodes:
         res = run_cli("exact", "--input", str(path))
         assert res.returncode == 2
         assert "line 2" in res.stderr
+
+    def test_input_error_fullwidth_digits(self, tmp_path):
+        # A triangle written in fullwidth digits: int() alone reads it.
+        path = tmp_path / "wide.txt"
+        path.write_text("\uff13 3 undirected\n1 2\n2 3\n\uff13 1\n", encoding="utf-8")
+        res = run_cli("exact", "--input", str(path))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("input error: line 1: n must be an integer"), res.stderr
 
     def test_input_error_deeply_nested_object(self, tmp_path):
         path = tmp_path / "deep.json"

@@ -6,6 +6,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -160,9 +161,12 @@ class TestHamDp:
                 assert exact._ham_dp_residue(g, p) == count % p
 
     def test_layers_stream_in_memory(self):
-        # Only about one layer is alive: the largest layer at n = 18 holds
-        # 17 x C(16, 8) uint64 entries (1.67 MiB), and a kernel that keeps two
-        # whole layers beside its chunk temporaries peaks at ~5.2 MiB here.
+        # Only about one layer and one chunk are alive: the largest layer at
+        # n = 18 holds 17 x C(16, 8) uint64 entries (1.67 MiB) and a chunk's
+        # block 17 x 4096 (0.53 MiB).  This kernel peaks at ~2.78 MiB here
+        # (numpy 2.4); one that keeps the last chunk's arrays bound while the
+        # next chunk allocates peaked at ~3.12 MiB, and one that keeps two
+        # whole layers at ~5.2 MiB.
         g = gen_gnp(18, 0.5, 3, "digraph")
         ham_dp(g)  # numpy's own first-call allocations stay outside the trace
         tracemalloc.start()
@@ -171,7 +175,27 @@ class TestHamDp:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 17 * math.comb(16, 8) * 8, peak
+        assert peak < 2.95 * 2**20, peak
+
+    def test_chunk_blocks_die_before_the_next_allocates(self, monkeypatch):
+        # Each chunk's k x chunk block comes from numpy.zeros; every earlier
+        # one must be unreferenced when the next is requested, across layers
+        # too (at n = 15 each layer is one chunk).
+        blocks = []
+        zeros = np.zeros
+
+        def tracked(*args, **kwargs):
+            alive = [ref for ref in blocks if ref() is not None]
+            assert not alive, f"{len(alive)} earlier block(s) alive at block {len(blocks)}"
+            block = zeros(*args, **kwargs)
+            blocks.append(weakref.ref(block))
+            return block
+
+        g = gen_gnp(15, 0.5, 3, "digraph")
+        want = exact._ham_dp_small(g)
+        monkeypatch.setattr(np, "zeros", tracked)
+        assert exact._ham_dp_residue(g, 0) == want
+        assert len(blocks) >= g.n - 2
 
     def test_layer_masks_are_ascending_layers(self):
         for k in range(9):
