@@ -12,7 +12,9 @@ first: the hamb modules that a command runs whatever its input (and
 inside the clock: numpy and ``hamb.bounds`` for an exact count above n = 12,
 ``hamb.exact`` for the count that ``bounds`` prints up to n = 16, ``json`` for
 ``--json``, and for a file digest CPython's built-in SHA-256 (``hashlib``,
-with OpenSSL, only where the interpreter lacks it).  Every seeded draw, the
+with OpenSSL, only where the interpreter lacks it).  ``fractions`` loads
+inside the clock too, where a command first builds a rational: ``estimate``
+builds its report's after its trials.  Every seeded draw, the
 estimator's trials included, comes from :mod:`hamb.pcg`, so no command loads
 ``numpy.random``; ``gen`` loads no numpy at all.  The parser holds every
 subcommand but only the arguments of the one it runs.  A process, which enters
@@ -104,7 +106,7 @@ def _parse_policy_spec(spec: str) -> RowOrderPolicy:
 # Report rendering
 
 
-def _emit_fields(args, fields: dict[str, str]) -> None:
+def _emit_fields(args, fields: dict) -> None:
     if getattr(args, "json", False):
         import json
 
@@ -292,8 +294,6 @@ def _cmd_compare(args) -> int:
         )
     columns = ["n", "degrees", "symmetric", "minc", "bregman", "exact", "new_le_minc", "new_le_bregman"]
     if args.json:
-        import json
-
         doc = {
             "command": "compare",
             "family": args.family,
@@ -303,7 +303,7 @@ def _cmd_compare(args) -> int:
         if args.family == "gnp":
             doc["p"] = _fmt_real(args.p)
             doc["seed"] = str(args.seed)
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _emit_fields(args, doc)
     else:
         import csv
 

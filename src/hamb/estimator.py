@@ -19,9 +19,12 @@ Row order is a policy: one rule for picking the row on one trial, ``_run``:
   indexed by the step and the previously chosen column position.
 
 Monte Carlo aggregation keeps mean and sample variance as exact rationals;
-floats appear only in reporting fields.  Trial ``t`` always draws from
-``trial_stream(seed, t)``, a :class:`hamb.pcg.Stream` that draws as PCG64
-seeded with ``SeedSequence(entropy=seed, spawn_key=(t,))``.
+floats appear only in reporting fields.  ``estimate`` loads ``fractions``
+(with ``decimal`` and ``numbers``) only to build its report, once the last
+block's arrays are gone, so those modules do not add to the kernel's peak
+memory.  Trial ``t`` always draws from ``trial_stream(seed, t)``, a
+:class:`hamb.pcg.Stream` that draws as PCG64 seeded with
+``SeedSequence(entropy=seed, spawn_key=(t,))``.
 
 ``trial_with_policy`` runs one trial in plain Python; it is the reference path,
 and ``enumerate_branches`` replays it.  ``estimate`` runs the trials in
@@ -52,8 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,6 +63,9 @@ from .errors import PolicyError
 from .graphs import CycleWitness, DiGraph, check_integer
 from .io import sha256_hex
 from .pcg import Stream, stream_words
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class RowOrderPolicy(NamedTuple("RowOrderPolicy", [("kind", str), ("start", int | None),
@@ -253,6 +258,8 @@ def enumerate_branches(g: DiGraph, policy: RowOrderPolicy) -> Iterator[tuple[Fra
     trial code, replayed along each choice prefix, so what it enumerates is
     what the randomized trials do.
     """
+    from fractions import Fraction
+
     _check_policy(g, policy)
     stack: list[tuple[int, ...]] = [()]
     while stack:
@@ -484,6 +491,8 @@ def estimate(g: DiGraph, policy: RowOrderPolicy, trials: int, seed: int) -> Esti
             total += value
             total_sq += value * value
         nonzero += len(values)
+    from fractions import Fraction  # after the last block: its arrays are gone
+
     mean = Fraction(total, trials)
     if trials > 1:
         variance = (Fraction(total_sq) - Fraction(total * total, trials)) / (trials - 1)

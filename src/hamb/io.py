@@ -4,16 +4,18 @@ Two graph formats are accepted.  The text format starts with a header line
 ``n m kind`` (kind is ``directed`` or ``undirected``) followed by m lines
 ``u v`` with 1-based labels; the object format is a JSON document with keys
 ``n``, ``kind``, ``edges``.  Malformed input raises :class:`ParseError` with
-the line (and, for a bad label, the column) of the fault; a line ends only at
-``\\n``, ``\\r\\n`` or ``\\r``.  A table-policy file holds one row of integers
-per line.  An integer in a text file is ASCII digits with an optional sign.
-Graph and table files decode as UTF-8, past a leading byte-order mark.
+the line (and, for a bad label, the column) of the fault.  A table-policy
+file holds one row of integers per line.  Both text formats read through
+:func:`_scan`: a line ends only at ``\\n``, ``\\r\\n`` or ``\\r``, tokens are
+separated only by ASCII space, tab, vertical tab and form feed, and a line of
+nothing but whitespace is blank.  An integer is ASCII digits with an optional
+sign.  Graph and table files decode as UTF-8, past a leading byte-order mark.
 """
 from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import GraphSizeError, ParseError, PolicyError
 from .graphs import HARD_MAX_N, DiGraph, UndiGraph, build_digraph, build_undigraph
@@ -33,6 +35,16 @@ def parse_graph(text: str, fmt: str | None = None) -> DiGraph | UndiGraph:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+_TOKEN = re.compile(r"[^ \t\v\f]+")  # so "1\u30002" is one token, and no integer
+
+
+def _scan(text: str) -> Iterator[tuple[int, str, list[re.Match]]]:
+    """Each non-blank line of ``text``: its 1-based number, the line and its tokens."""
+    for lineno, line in enumerate(re.split(r"\r\n?|\n", text), start=1):
+        if line.strip():
+            yield lineno, line, list(_TOKEN.finditer(line))
+
+
 def _int(token: str) -> int:
     """``token`` as an integer, or ValueError: ``int`` alone also takes
     ``1_0`` and non-ASCII digits such as the fullwidth ones."""
@@ -49,15 +61,15 @@ def _parse_header_int(token: str, what: str) -> int:
 
 
 def _parse_text(text: str) -> DiGraph | UndiGraph:
-    lines = re.split(r"\r\n?|\n", text)
-    if not lines[0].strip():
+    lines = _scan(text)
+    lineno, header, tokens = next(lines, (0, "", []))
+    if lineno != 1:
         raise ParseError("missing header line 'n m kind'", line=1)
-    tokens = lines[0].split()
     if len(tokens) != 3:
-        raise ParseError(f"header must be 'n m kind', got {lines[0]!r}", line=1)
-    n = _parse_header_int(tokens[0], "n")
-    m = _parse_header_int(tokens[1], "m")
-    kind = tokens[2]
+        raise ParseError(f"header must be 'n m kind', got {header!r}", line=1)
+    n = _parse_header_int(tokens[0][0], "n")
+    m = _parse_header_int(tokens[1][0], "m")
+    kind = tokens[2][0]
     if kind not in ("directed", "undirected"):
         raise ParseError(f"kind must be 'directed' or 'undirected', got {kind!r}", line=1)
     if n < 1:
@@ -67,10 +79,7 @@ def _parse_text(text: str) -> DiGraph | UndiGraph:
     if n > HARD_MAX_N:
         raise GraphSizeError(f"line 1: n={n} exceeds the vertex cap of {HARD_MAX_N}")
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        toks = list(re.finditer(r"\S+", raw))
-        if not toks:
-            continue
+    for lineno, raw, toks in lines:
         if len(toks) != 2:
             raise ParseError(f"edge line must be 'u v', got {raw!r}", line=lineno)
         pair = []
@@ -191,11 +200,9 @@ def load_table_policy(path: str) -> RowOrderPolicy:
     except (OSError, UnicodeDecodeError) as e:
         raise PolicyError(f"cannot read table file {path}: {e}") from None
     rows: list[list[int]] = []
-    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
-        if not raw.strip():
-            continue
+    for lineno, _, toks in _scan(text):
         try:
-            rows.append([_int(tok) for tok in raw.split()])
+            rows.append([_int(tok[0]) for tok in toks])
         except ValueError:
             raise PolicyError(f"table file {path} line {lineno}: entries must be integers") from None
     if not rows:

@@ -18,6 +18,11 @@ from hamb.pcg import Stream
 from conftest import SRC, run_cli
 
 
+# Whitespace to str.split() and re's \S, but not a token separator in a text file.
+UNICODE_SPACES = ["\u3000", "\xa0", "\x85", "\u2028", "\x1f"]
+UNICODE_SPACE_IDS = ["ideographic", "no-break", "next-line", "line-separator", "unit-separator"]
+
+
 class TestParseGraph:
     def test_text_undirected(self):
         g = parse_graph("3 3 undirected\n1 2\n2 3\n3 1\n")
@@ -45,6 +50,23 @@ class TestParseGraph:
         with pytest.raises(ParseError, match="edge line must be 'u v'") as exc:
             parse_graph("3 2 undirected\n1 2\f2 3\n")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("sep", UNICODE_SPACES, ids=UNICODE_SPACE_IDS)
+    def test_only_ascii_whitespace_separates_tokens(self, sep):
+        with pytest.raises(ParseError, match="header must be 'n m kind'") as exc:
+            parse_graph(f"3{sep}1 directed\n1 2\n")
+        assert exc.value.line == 1
+        with pytest.raises(ParseError, match="edge line must be 'u v'") as exc:
+            parse_graph(f"3 1 directed\n1{sep}2\n")
+        assert exc.value.line == 2
+        with pytest.raises(ParseError, match="vertex label must be an integer") as exc:
+            parse_graph(f"3 1 directed\n1 2{sep}3\n")
+        assert (exc.value.line, exc.value.col) == (2, 3)
+
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"])
+    def test_ascii_separators_still_split(self, brk):
+        text = brk.join(["3\t1\vdirected", " \f", "\t1 \f 2\v", ""])
+        assert parse_graph(text) == parse_graph("3 1 directed\n1 2\n")
 
     def test_bad_header(self):
         with pytest.raises(ParseError) as exc:
@@ -280,6 +302,30 @@ class TestCliCommands:
         table.write_text(f"1 1 1\n1 {entry} 1\n1 1 1\n", encoding="utf-8")
         with pytest.raises(PolicyError, match="line 2: entries must be integers"):
             load_table_policy(str(table))
+
+    @pytest.mark.parametrize("sep", UNICODE_SPACES, ids=UNICODE_SPACE_IDS)
+    def test_table_tokens_split_only_at_ascii_whitespace(self, tmp_path, sep):
+        table = tmp_path / "table.txt"
+        table.write_text(f"3 1 2\n1{sep}2 1\n1 1 1\n", encoding="utf-8")
+        with pytest.raises(PolicyError, match="line 2: entries must be integers"):
+            load_table_policy(str(table))
+
+    @pytest.mark.parametrize("sep", UNICODE_SPACES, ids=UNICODE_SPACE_IDS)
+    def test_unicode_space_in_a_file_exits_2(self, tmp_path, capsys, sep):
+        (tmp_path / "g.txt").write_text(f"3 3 undirected\n1 2\n2 3\n3{sep}1\n", encoding="utf-8")
+        (tmp_path / "table.txt").write_text(f"1 1 1\n1 1 1\n1{sep}1 1\n", encoding="utf-8")
+        (tmp_path / "c3.txt").write_text("3 3 undirected\n1 2\n2 3\n3 1\n")
+        assert cli.main(["exact", "--input", str(tmp_path / "g.txt")]) == 2
+        assert capsys.readouterr().err == f"input error: line 4: edge line must be 'u v', got {'3' + sep + '1'!r}\n"
+        policy = "table:" + str(tmp_path / "table.txt")
+        assert cli.main(["estimate", "--trials", "5", "--policy", policy, "--input", str(tmp_path / "c3.txt")]) == 2
+        assert "line 3: entries must be integers" in capsys.readouterr().err
+
+    def test_table_ascii_separators_still_split(self, tmp_path):
+        plain, mixed = tmp_path / "plain.txt", tmp_path / "mixed.txt"
+        plain.write_text("3 1 2\n1 2 1\n1 1 1\n")
+        mixed.write_bytes(b"\xef\xbb\xbf3\t1\v2\r\n\f\r1\f2 1\r \t1  1\t1\n")
+        assert load_table_policy(str(mixed)) == load_table_policy(str(plain))
 
     def test_table_file_lines_break_only_at_newlines(self, tmp_path):
         table = tmp_path / "table.txt"

@@ -24,7 +24,7 @@ from hamb import (
 from hamb import estimator
 from hamb.exact import ham_dp
 
-from conftest import all_digraphs, digraphs
+from conftest import all_digraphs, digraphs, run_cli
 
 
 class TestRowOrderPolicy:
@@ -247,6 +247,32 @@ class TestEstimate:
         for seed, t in ((True, 0), (0, True), (-1, 0), (0, -1)):
             with pytest.raises(ValueError):
                 trial_stream(seed, t)
+
+    def test_fractions_loads_after_the_last_block(self):
+        # The exact report is built once every block's arrays are gone, so
+        # fractions (with decimal and numbers) adds nothing to the kernel's
+        # peak memory; the report's mean and variance stay Fractions.
+        script = """if True:
+            import sys
+            from hamb import estimator
+            from hamb.graphs import gen_family
+            print(sorted({"fractions", "decimal"} & set(sys.modules)))
+            real, seen = estimator._block_values, []
+
+            def blocks(*args):
+                for block in real(*args):
+                    seen.append("fractions" in sys.modules)
+                    yield block
+
+            estimator._block_values = blocks
+            g = gen_family("complete", 6, "digraph")
+            report = estimator.estimate(g, estimator.RowOrderPolicy.ascending(), 5000, 3)
+            from fractions import Fraction
+            print(seen, type(report.mean) is Fraction, type(report.sample_variance) is Fraction)
+        """
+        res = run_cli(entry=("-c", script))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == ["[]", "[False, False, False] True True"]
 
     def test_statistical_agreement_with_exact_count(self):
         g = gen_gnp(8, 0.6, 101, "symmetric-digraph")
