@@ -3,6 +3,8 @@
 The graph and table file formats live in :mod:`hamb.io`; ``parse_graph`` and
 ``serialize_graph`` are re-exported here.  Reports go to stdout and are
 byte-identical for identical inputs; wall-clock timing goes to stderr only.
+Integer flags and specs read through :func:`hamb.io.read_int`, the grammar of
+graph files, and the parser checks each flag's range before a handler runs.
 On success its last line is ``elapsed-ms``, the time from argument parsing to
 the end of the report.  It leaves out the process's exit, and its start-up,
 including the modules that ``_COMMANDS`` lists beside each handler and loads
@@ -40,7 +42,7 @@ from typing import TYPE_CHECKING
 
 from .errors import GraphSizeError, ParseError, PolicyError
 from .graphs import FAMILIES, GRAPH_KINDS, HARD_MAX_N, DiGraph, UndiGraph, gen_family, gen_gnp, row_sums, to_symmetric_digraph
-from .io import load_table_policy, parse_graph, serialize_graph, sha256_hex
+from .io import load_table_policy, parse_graph, read_int, serialize_graph, sha256_hex
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -86,7 +88,7 @@ def _parse_policy_spec(spec: str) -> RowOrderPolicy:
     if spec.startswith("follow-path:"):
         arg = spec.split(":", 1)[1]
         try:
-            start = int(arg)
+            start = read_int(arg)
         except ValueError:
             raise UsageError(f"follow-path start must be an integer, got {arg!r}") from None
         if start < 1:
@@ -154,12 +156,8 @@ def _cmd_exact(args) -> int:
 def _cmd_estimate(args) -> int:
     from .estimator import MAX_TRIALS, estimate
 
-    if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     if args.trials > MAX_TRIALS:
         raise UsageError(f"--trials must be <= 2^64, got {args.trials}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     policy = _parse_policy_spec(args.policy)
     g, info = _read_input(args)
     undirected = isinstance(g, UndiGraph)
@@ -232,12 +230,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _parse_range(spec: str) -> tuple[int, int]:
-    if ".." in spec:
-        lo_s, hi_s = spec.split("..", 1)
-    else:
-        lo_s = hi_s = spec
+    lo_s, dots, hi_s = spec.partition("..")
+    hi_s = hi_s if dots else lo_s
     try:
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = read_int(lo_s), read_int(hi_s)
     except ValueError:
         raise UsageError(f"--n must be '<a>..<b>' or a single integer, got {spec!r}") from None
     if lo > hi:
@@ -248,17 +244,14 @@ def _parse_range(spec: str) -> tuple[int, int]:
 
 
 def _check_draw_args(args, flag: str, choice: str, n: int) -> None:
-    """The --n, --seed and --p checks that ``compare`` and ``gen`` share;
-    ``n`` is the smallest vertex count to draw."""
-    if n < 1:
-        raise UsageError(f"--n must be >= 1, got {n}")
+    """The rules that span ``compare``'s and ``gen``'s flags (the parser checks each flag's
+    range): a cycle needs ``n`` >= 3, the smallest n drawn, and gnp a ``--p`` in [0, 1]."""
     if choice == "cycle" and n < 3:
         raise UsageError(f"--n must be >= 3 for {flag} cycle, got {n}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if choice == "gnp":
         if args.p is None:
             raise UsageError(f"--p is required for {flag} gnp")
+        args.p += 0.0  # -0.0 draws what 0.0 draws, so it prints as 0
         if not 0.0 <= args.p <= 1.0:
             raise UsageError(f"--p must be in [0, 1], got {args.p}")
 
@@ -292,24 +285,21 @@ def _cmd_compare(args) -> int:
                 "new_le_bregman": "true" if record.new_le_bregman else "false",
             }
         )
-    columns = ["n", "degrees", "symmetric", "minc", "bregman", "exact", "new_le_minc", "new_le_bregman"]
     if args.json:
         doc = {
             "command": "compare",
             "family": args.family,
-            "n": args.n,
+            "n": f"{lo}..{hi}" if ".." in args.n else str(lo),
             "rows": rows,
         }
         if args.family == "gnp":
             doc["p"] = _fmt_real(args.p)
             doc["seed"] = str(args.seed)
         _emit_fields(args, doc)
-    else:
-        import csv
-
-        writer = csv.DictWriter(sys.stdout, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    else:  # no field needs quoting: integers, ';'-joined degrees, reals, true/false
+        print(",".join(rows[0]))
+        for row in rows:
+            print(",".join(row.values()))
     return EXIT_OK
 
 
@@ -346,6 +336,16 @@ def _cmd_selftest(args) -> int:
 # Parser and dispatch
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer of :func:`hamb.io.read_int`'s grammar, at least ``minimum``."""
+    def integer(text: str) -> int:  # argparse names it: "invalid integer value: '1_0'"
+        value = read_int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return integer
+
+
 def _build_parser(cmd: str | None) -> _Parser:
     """The parser of every subcommand, with the arguments only of ``cmd`` when
     it names one (a process runs one command), else of them all."""
@@ -367,8 +367,8 @@ def _build_parser(cmd: str | None) -> _Parser:
 
     if p := add("estimate", "unbiased Monte Carlo estimate"):
         add_input_flags(p)
-        p.add_argument("--trials", type=int, required=True)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--trials", type=_at_least(1), required=True)
+        p.add_argument("--seed", type=_at_least(0), default=0)
         p.add_argument("--policy", default="ascending", help="ascending | follow-path:<v> | table:<path>")
 
     if p := add("bounds", "upper bounds and tightness"):
@@ -378,14 +378,14 @@ def _build_parser(cmd: str | None) -> _Parser:
         p.add_argument("--family", choices=list(FAMILIES) + ["gnp"], required=True)
         p.add_argument("--n", required=True, help="range '<a>..<b>' or a single n")
         p.add_argument("--p", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_at_least(0), default=0)
         p.add_argument("--json", action="store_true")
 
     if p := add("gen", "write a generated graph file"):
         p.add_argument("--model", choices=list(FAMILIES) + ["gnp"], required=True)
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=_at_least(1), required=True)
         p.add_argument("--p", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_at_least(0), default=0)
         p.add_argument("--kind", choices=list(GRAPH_KINDS), default="undirected")
         p.add_argument("--out", required=True)
         p.add_argument("--format", choices=["text", "object"], default="text")

@@ -45,9 +45,9 @@ def _scan(text: str) -> Iterator[tuple[int, str, list[re.Match]]]:
             yield lineno, line, list(_TOKEN.finditer(line))
 
 
-def _int(token: str) -> int:
-    """``token`` as an integer, or ValueError: ``int`` alone also takes
-    ``1_0`` and non-ASCII digits such as the fullwidth ones."""
+def read_int(token: str) -> int:
+    """``token`` as an integer, or ValueError: the program's one integer grammar, for files and
+    flags alike (``int`` alone also takes ``1_0``, `` 10`` and non-ASCII digits such as ``１``)."""
     if not re.fullmatch(r"[+-]?[0-9]+", token):
         raise ValueError(token)
     return int(token)
@@ -55,7 +55,7 @@ def _int(token: str) -> int:
 
 def _parse_header_int(token: str, what: str) -> int:
     try:
-        return _int(token)
+        return read_int(token)
     except ValueError:
         raise ParseError(f"{what} must be an integer, got {token!r}", line=1) from None
 
@@ -85,7 +85,7 @@ def _parse_text(text: str) -> DiGraph | UndiGraph:
         pair = []
         for tok in toks:
             try:
-                pair.append(_int(tok[0]))
+                pair.append(read_int(tok[0]))
             except ValueError:
                 raise ParseError(
                     f"vertex label must be an integer, got {tok[0]!r}", line=lineno, col=tok.start() + 1
@@ -202,7 +202,7 @@ def load_table_policy(path: str) -> RowOrderPolicy:
     rows: list[list[int]] = []
     for lineno, _, toks in _scan(text):
         try:
-            rows.append([_int(tok[0]) for tok in toks])
+            rows.append([read_int(tok[0]) for tok in toks])
         except ValueError:
             raise PolicyError(f"table file {path} line {lineno}: entries must be integers") from None
     if not rows:

@@ -432,6 +432,60 @@ class TestExitCodes:
         assert run_cli("compare", "--family", "cycle", "--n", "8..3").returncode == 1
         assert run_cli("compare", "--family", "cycle", "--n", "x..3").returncode == 1
 
+    # Every integer flag and spec, with {} where a spelling of 10 goes (compare
+    # --n at either end of a range and alone, follow-path on a 10-cycle).
+    INTEGER_ARGS = {
+        "estimate-trials": ("estimate", "--input", "c10.txt", "--trials", "{}"),
+        "estimate-seed": ("estimate", "--input", "c10.txt", "--trials", "5", "--seed", "{}"),
+        "follow-path": ("estimate", "--input", "c10.txt", "--trials", "5", "--policy", "follow-path:{}"),
+        "compare-seed": ("compare", "--family", "gnp", "--n", "3..4", "--p", "0.5", "--seed", "{}", "--json"),
+        "compare-n-low": ("compare", "--family", "cycle", "--n", "{}..12", "--json"),
+        "compare-n-high": ("compare", "--family", "cycle", "--n", "3..{}", "--json"),
+        "compare-n-single": ("compare", "--family", "cycle", "--n", "{}", "--json"),
+        "gen-n": ("gen", "--model", "gnp", "--n", "{}", "--p", "0.5", "--out", "g.txt"),
+        "gen-seed": ("gen", "--model", "gnp", "--n", "4", "--p", "0.5", "--seed", "{}", "--out", "g.txt"),
+    }
+
+    @staticmethod
+    def _run_integer_arg(tmp_path, monkeypatch, capsys, template, spelling):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c10.txt").write_text(serialize_graph(gen_family("cycle", 10, "undirected")))
+        (tmp_path / "g.txt").unlink(missing_ok=True)
+        code = cli.main([arg.replace("{}", spelling) for arg in template])
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("spelling", ["1_0", "１０", "٣", " 10", "10 "],
+                             ids=["underscore", "fullwidth", "arabic-indic", "leading-space", "trailing-space"])
+    @pytest.mark.parametrize("template", INTEGER_ARGS.values(), ids=INTEGER_ARGS.keys())
+    def test_usage_error_integer_spelling(self, tmp_path, monkeypatch, capsys, template, spelling):
+        # Flags read integers as graph files do: int() alone takes each of these.
+        code, out, err = self._run_integer_arg(tmp_path, monkeypatch, capsys, template, spelling)
+        assert code == 1, err
+        assert err.startswith("usage error:"), err
+        assert out == ""
+        assert not (tmp_path / "g.txt").exists()
+
+    @pytest.mark.parametrize("spelling", ["+10", "010"])
+    @pytest.mark.parametrize("template", INTEGER_ARGS.values(), ids=INTEGER_ARGS.keys())
+    def test_integer_sign_and_leading_zero(self, tmp_path, monkeypatch, capsys, template, spelling):
+        # compare --json echoes the range it swept, not the text it was given.
+        code, out, err = self._run_integer_arg(tmp_path, monkeypatch, capsys, template, spelling)
+        assert code == 0, err
+        assert out == self._run_integer_arg(tmp_path, monkeypatch, capsys, template, "10")[1]
+
+    @pytest.mark.parametrize("cmd", [
+        ("gen", "--model", "gnp", "--n", "5", "--out", "g.txt", "--p"),
+        ("compare", "--family", "gnp", "--n", "3..3", "--json", "--p"),
+    ])
+    @pytest.mark.parametrize("zero", ["-0", "-0.0"])
+    def test_negative_zero_p_prints_as_zero(self, tmp_path, monkeypatch, capsys, cmd, zero):
+        # -0 draws what 0 draws, so it prints the same bytes.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*cmd, zero]) == 0
+        negative = capsys.readouterr().out
+        assert cli.main([*cmd, "0"]) == 0
+        assert negative == capsys.readouterr().out
+
     def test_input_error_self_loop(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 1 undirected\n1 1\n")
