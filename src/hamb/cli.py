@@ -4,7 +4,8 @@ The graph and table file formats live in :mod:`hamb.io`; ``parse_graph`` and
 ``serialize_graph`` are re-exported here.  Reports go to stdout and are
 byte-identical for identical inputs; wall-clock timing goes to stderr only.
 Integer flags and specs read through :func:`hamb.io.read_int`, the grammar of
-graph files, and the parser checks each flag's range before a handler runs.
+graph files, ``--p`` as an ASCII decimal, and the parser checks each flag's
+range before a handler runs.
 On success its last line is ``elapsed-ms``, the time from argument parsing to
 the end of the report.  It leaves out the process's exit, and its start-up,
 including the modules that ``_COMMANDS`` lists beside each handler and loads
@@ -35,6 +36,7 @@ import gc
 import importlib
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -109,7 +111,7 @@ def _parse_policy_spec(spec: str) -> RowOrderPolicy:
 
 
 def _emit_fields(args, fields: dict) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         import json
 
         print(json.dumps(fields, indent=2, sort_keys=True))
@@ -245,15 +247,11 @@ def _parse_range(spec: str) -> tuple[int, int]:
 
 def _check_draw_args(args, flag: str, choice: str, n: int) -> None:
     """The rules that span ``compare``'s and ``gen``'s flags (the parser checks each flag's
-    range): a cycle needs ``n`` >= 3, the smallest n drawn, and gnp a ``--p`` in [0, 1]."""
+    range): a cycle needs ``n`` >= 3, the smallest n drawn, and gnp needs ``--p``."""
     if choice == "cycle" and n < 3:
         raise UsageError(f"--n must be >= 3 for {flag} cycle, got {n}")
-    if choice == "gnp":
-        if args.p is None:
-            raise UsageError(f"--p is required for {flag} gnp")
-        args.p += 0.0  # -0.0 draws what 0.0 draws, so it prints as 0
-        if not 0.0 <= args.p <= 1.0:
-            raise UsageError(f"--p must be in [0, 1], got {args.p}")
+    if choice == "gnp" and args.p is None:
+        raise UsageError(f"--p is required for {flag} gnp")
 
 
 def _cmd_compare(args) -> int:
@@ -309,7 +307,7 @@ def _cmd_gen(args) -> int:
         g = gen_gnp(args.n, args.p, args.seed, kind=args.kind)
     else:
         g = gen_family(args.model, args.n, kind=args.kind)
-    payload = serialize_graph(g, args.format or "text").encode("utf-8")
+    payload = serialize_graph(g, args.format).encode("utf-8")
     Path(args.out).write_bytes(payload)
     fields = {
         "command": "gen",
@@ -346,6 +344,16 @@ def _at_least(minimum: int):
     return integer
 
 
+def _probability(text: str) -> float:
+    """An argparse type: an ASCII decimal (sign, digits with at most one point, exponent) in [0, 1]."""
+    if not re.fullmatch(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", text):
+        raise argparse.ArgumentTypeError(f"must be an ASCII decimal such as 0.5, got {text!r}")
+    p = float(text) + 0.0  # -0 draws what 0 draws, so it prints as 0
+    if not 0.0 <= p <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {p}")
+    return p
+
+
 def _build_parser(cmd: str | None) -> _Parser:
     """The parser of every subcommand, with the arguments only of ``cmd`` when
     it names one (a process runs one command), else of them all."""
@@ -377,14 +385,14 @@ def _build_parser(cmd: str | None) -> _Parser:
     if p := add("compare", "sweep bounds across a graph family"):
         p.add_argument("--family", choices=list(FAMILIES) + ["gnp"], required=True)
         p.add_argument("--n", required=True, help="range '<a>..<b>' or a single n")
-        p.add_argument("--p", type=float, default=None)
+        p.add_argument("--p", type=_probability, default=None)
         p.add_argument("--seed", type=_at_least(0), default=0)
         p.add_argument("--json", action="store_true")
 
     if p := add("gen", "write a generated graph file"):
         p.add_argument("--model", choices=list(FAMILIES) + ["gnp"], required=True)
         p.add_argument("--n", type=_at_least(1), required=True)
-        p.add_argument("--p", type=float, default=None)
+        p.add_argument("--p", type=_probability, default=None)
         p.add_argument("--seed", type=_at_least(0), default=0)
         p.add_argument("--kind", choices=list(GRAPH_KINDS), default="undirected")
         p.add_argument("--out", required=True)

@@ -1,13 +1,16 @@
 """Graph representations, the undirected-to-directed doubling map, matrix
 contraction, and deterministic generators.
 
-Directed graphs are stored as packed bit rows: ``rows[u]`` is an integer whose
-bit ``v`` is set iff the arc ``u -> v`` exists (0-based internally).  Vertex
+Every graph is stored as packed bit rows: ``rows[u]`` is an integer whose bit
+``v`` is set iff the arc ``u -> v`` exists (0-based internally).  Vertex
 labels in every public signature are 1-based.  Bit rows keep row scans, the
 subset dynamic program, and the permanent cheap, at the price of a fixed cap
 of ``HARD_MAX_N`` = 64 vertices.  A ``DiGraph`` is a ``ContractedMatrix``, the
 0/1 matrix that contraction produces, that also obeys the cap and has a zero
-diagonal.  The graph file formats live in :mod:`hamb.io`.
+diagonal.  So is an ``UndiGraph``: it holds the symmetric rows of its doubled
+image, so the paper's doubling map is a retag and a degree is a row sum, and a
+counter given one counts that image (``ham_dp``: 2h, ``ham_undirected``: h).
+The graph file formats live in :mod:`hamb.io`.
 """
 from __future__ import annotations
 
@@ -55,6 +58,16 @@ class ContractedMatrix(NamedTuple("ContractedMatrix", [("n", int), ("rows", tupl
         return [[self.rows[u] >> v & 1 for v in range(self.n)] for u in range(self.n)]
 
 
+def _graph(cls: type, n: int, rows: tuple[int, ...]):
+    """A ``cls`` over ``rows`` under the vertex cap with a zero diagonal (any graph)."""
+    _check_vertex_count(n)
+    self = ContractedMatrix.__new__(cls, n, rows)
+    for u, row in enumerate(rows):
+        if row >> u & 1:
+            raise ValueError(f"self-loop at vertex {u + 1}")
+    return self
+
+
 class DiGraph(ContractedMatrix):
     """Simple directed graph on vertices 1..n; zero diagonal, 0/1 arcs.
 
@@ -65,12 +78,7 @@ class DiGraph(ContractedMatrix):
     __slots__ = ()
 
     def __new__(cls, n: int, rows: tuple[int, ...]):
-        _check_vertex_count(n)
-        self = super().__new__(cls, n, rows)
-        for u, row in enumerate(rows):
-            if row >> u & 1:
-                raise ValueError(f"self-loop at vertex {u + 1}")
-        return self
+        return _graph(cls, n, rows)
 
     @property
     def num_arcs(self) -> int:
@@ -90,89 +98,78 @@ class DiGraph(ContractedMatrix):
         ]
 
 
-
-class UndiGraph(NamedTuple("UndiGraph", [("n", int), ("edges", frozenset[tuple[int, int]])])):
-    """Simple undirected graph; edges stored 0-based as (u, v) with u < v."""
+class UndiGraph(ContractedMatrix):
+    """Simple undirected graph on vertices 1..n: the edge {u, v} is bit v of
+    ``rows[u]`` and bit u of ``rows[v]``, so the rows (symmetric, zero diagonal,
+    under the vertex cap) are those of the doubled image ``DiGraph(g.n, g.rows)``,
+    which ``g`` never equals.  A counter that takes a matrix counts that image."""
 
     __slots__ = ()
 
-    def __new__(cls, n: int, edges: frozenset[tuple[int, int]]):
-        _check_vertex_count(n)
-        for u, v in edges:
-            if not (0 <= u < v < n):
-                raise ValueError(f"bad internal edge ({u}, {v}) for n={n}")
-        return super().__new__(cls, n, edges)
+    def __new__(cls, n: int, rows: tuple[int, ...]):
+        self = _graph(cls, n, rows)
+        if not is_symmetric(self):
+            raise ValueError("undirected rows must be symmetric")
+        return self
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self.rows) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         """Edge {u, v}, 1-based labels."""
-        a, b = min(u, v) - 1, max(u, v) - 1
-        return (a, b) in self.edges
+        return bool(self.rows[u - 1] >> (v - 1) & 1)
 
     def edge_list(self) -> list[tuple[int, int]]:
         """All edges as sorted 1-based pairs (u < v)."""
-        return sorted((u + 1, v + 1) for u, v in self.edges)
+        return [(u + 1, v + 1) for u in range(self.n) for v in range(u + 1, self.n) if self.rows[u] >> v & 1]
+
+
+def _build(cls: type, n: int, pairs: Iterable[tuple[int, int]], what: str):
+    _check_vertex_count(n)
+    rows = [0] * n
+    for u, v in pairs:
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ValueError(f"{what} ({u}, {v}) out of range 1..{n}")
+        if u == v:
+            raise ValueError(f"self-loop ({u}, {v}) is not allowed")
+        rows[u - 1] |= 1 << (v - 1)
+        if cls is UndiGraph:
+            rows[v - 1] |= 1 << (u - 1)
+    return cls(n, tuple(rows))
 
 
 def build_digraph(n: int, edges: Iterable[tuple[int, int]]) -> DiGraph:
     """Build a DiGraph from 1-based arc pairs; duplicates collapse silently."""
-    _check_vertex_count(n)
-    rows = [0] * n
-    for u, v in edges:
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"arc ({u}, {v}) out of range 1..{n}")
-        if u == v:
-            raise ValueError(f"self-loop ({u}, {v}) is not allowed")
-        rows[u - 1] |= 1 << (v - 1)
-    return DiGraph(n, tuple(rows))
+    return _build(DiGraph, n, edges, "arc")
 
 
 def build_undigraph(n: int, edges: Iterable[tuple[int, int]]) -> UndiGraph:
-    """Build an UndiGraph from 1-based unordered pairs; duplicates collapse."""
-    _check_vertex_count(n)
-    normalized = set()
-    for u, v in edges:
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"edge ({u}, {v}) out of range 1..{n}")
-        if u == v:
-            raise ValueError(f"self-loop ({u}, {v}) is not allowed")
-        normalized.add((min(u, v) - 1, max(u, v) - 1))
-    return UndiGraph(n, frozenset(normalized))
+    """Build an UndiGraph from 1-based unordered pairs, both bits of each; duplicates collapse."""
+    return _build(UndiGraph, n, edges, "edge")
 
 
 def to_symmetric_digraph(g: UndiGraph) -> DiGraph:
-    """Replace each undirected edge {u, v} by the two arcs u->v and v->u."""
-    rows = [0] * g.n
-    for u, v in g.edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return DiGraph(g.n, tuple(rows))
+    """The doubling map: each edge {u, v} becomes the arcs u->v and v->u.  An
+    ``UndiGraph`` holds those rows already, so the image is a retag."""
+    return DiGraph(g.n, g.rows)
 
 
-def is_symmetric(g: DiGraph) -> bool:
-    """True iff the adjacency matrix equals its transpose."""
+def is_symmetric(m: ContractedMatrix) -> bool:
+    """True iff the matrix equals its transpose."""
     return all(
-        (g.rows[u] >> v & 1) == (g.rows[v] >> u & 1)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
+        (m.rows[u] >> v & 1) == (m.rows[v] >> u & 1)
+        for u in range(m.n)
+        for v in range(u + 1, m.n)
     )
 
 
 def row_sums(g: ContractedMatrix) -> tuple[int, ...]:
-    """Out-degree of every vertex (number of ones per row)."""
+    """Out-degree of every vertex (number of ones per row): an ``UndiGraph``'s degrees."""
     return tuple(row.bit_count() for row in g.rows)
 
 
-def degrees(g: UndiGraph) -> tuple[int, ...]:
-    """Degree of every vertex."""
-    out = [0] * g.n
-    for u, v in g.edges:
-        out[u] += 1
-        out[v] += 1
-    return tuple(out)
+degrees = row_sums
 
 
 def _delete_bit(x: int, pos: int) -> int:
@@ -224,18 +221,15 @@ class CycleWitness(NamedTuple):
         return cls(vs, directed)
 
     def is_cycle_of(self, g: DiGraph | UndiGraph) -> bool:
-        """True iff this is a Hamiltonian cycle of ``g`` (all consecutive
-        pairs, including the closing one, are edges/arcs of ``g``)."""
+        """True iff this is a Hamiltonian cycle of ``g``, a ``DiGraph`` for a
+        directed witness and an ``UndiGraph`` for an undirected one (all
+        consecutive pairs, including the closing one, are arcs/edges of ``g``)."""
         vs = self.vertices
+        if not isinstance(g, DiGraph if self.directed else UndiGraph):
+            return False
         if len(vs) != g.n or set(vs) != set(range(1, g.n + 1)):
             return False
-        if self.directed:
-            if not isinstance(g, DiGraph):
-                return False
-            return all(g.has_arc(vs[k], vs[(k + 1) % len(vs)]) for k in range(len(vs)))
-        if not isinstance(g, UndiGraph):
-            return False
-        return all(g.has_edge(vs[k], vs[(k + 1) % len(vs)]) for k in range(len(vs)))
+        return all(g.rows[u - 1] >> (v - 1) & 1 for u, v in zip(vs, vs[1:] + vs[:1]))
 
 
 def gen_gnp(n: int, p: float, seed: int, kind: str = "undirected") -> DiGraph | UndiGraph:

@@ -473,6 +473,55 @@ class TestExitCodes:
         assert code == 0, err
         assert out == self._run_integer_arg(tmp_path, monkeypatch, capsys, template, "10")[1]
 
+    # Both --p flags, with {} where a spelling of the probability goes.
+    P_ARGS = {
+        "gen": ("gen", "--model", "gnp", "--n", "4", "--p", "{}", "--out", "g.txt"),
+        "compare": ("compare", "--family", "gnp", "--n", "3..4", "--p", "{}", "--json"),
+    }
+
+    @pytest.mark.parametrize("spelling", ["０.５", "٠.٥", " 0.0_5", "1_0e-1", "0.5 ", "nan", "1.5", "-0.1"],
+                             ids=["fullwidth", "arabic-indic", "padded-underscore", "underscore-exponent",
+                                  "trailing-space", "nan", "above-one", "below-zero"])
+    @pytest.mark.parametrize("template", P_ARGS.values(), ids=P_ARGS.keys())
+    def test_usage_error_p_spelling(self, tmp_path, monkeypatch, capsys, template, spelling):
+        # float() alone takes the first four, as int() took "1_0" and "１０".
+        code, out, err = self._run_integer_arg(tmp_path, monkeypatch, capsys, template, spelling)
+        assert code == 1, err
+        assert err.startswith("usage error: argument --p:"), err
+        assert out == ""
+        assert not (tmp_path / "g.txt").exists()
+
+    @pytest.mark.parametrize("cmd", [("gen", "--model", "complete", "--n", "4", "--out", "g.txt"),
+                                     ("compare", "--family", "cycle", "--n", "3..4")])
+    def test_usage_error_p_out_of_range_without_gnp(self, tmp_path, monkeypatch, capsys, cmd):
+        # The parser checks --p's range whichever family or model it goes with, as it does --seed's.
+        code, out, err = self._run_integer_arg(tmp_path, monkeypatch, capsys, (*cmd, "--p", "1.5"), "")
+        assert code == 1 and out == "", err
+        assert err.startswith("usage error: argument --p: must be in [0, 1], got 1.5"), err
+        assert not (tmp_path / "g.txt").exists()
+
+    # The graph-sha256 that gen prints for G(4, p) at seed 0, and the p it echoes.
+    P_SPELLINGS = {
+        "0.5": ("4c885d70016e8da35d6900bfb28fc6672228af53ab6ac795fab999cc9e3a6360", "0.5"),
+        ".5": ("4c885d70016e8da35d6900bfb28fc6672228af53ab6ac795fab999cc9e3a6360", "0.5"),
+        "5e-1": ("4c885d70016e8da35d6900bfb28fc6672228af53ab6ac795fab999cc9e3a6360", "0.5"),
+        "+0.5": ("4c885d70016e8da35d6900bfb28fc6672228af53ab6ac795fab999cc9e3a6360", "0.5"),
+        "1.": ("39d8aef3d67a0b4b4e17d70a98c1dd283743a947c8fede8cf050464a5c6a94b4", "1"),
+        "0": ("a27c20fac24bbeb0abdb83a09a07498f3a2128d2413f4aa2bc8a97fb052825a9", "0"),
+        "-0": ("a27c20fac24bbeb0abdb83a09a07498f3a2128d2413f4aa2bc8a97fb052825a9", "0"),
+    }
+
+    @pytest.mark.parametrize("spelling", P_SPELLINGS)
+    def test_p_spellings_keep_their_bytes(self, tmp_path, monkeypatch, capsys, spelling):
+        digest, echo = self.P_SPELLINGS[spelling]
+        code, out, err = self._run_integer_arg(tmp_path, monkeypatch, capsys, self.P_ARGS["gen"], spelling)
+        assert code == 0, err
+        assert out == ("command: gen\nmodel: gnp\nn: 4\nkind: undirected\nseed: 0\nout: g.txt\n"
+                       f"graph-sha256: {digest}\np: {echo}\n")
+        code, out, err = self._run_integer_arg(tmp_path, monkeypatch, capsys, self.P_ARGS["compare"], spelling)
+        assert code == 0, err
+        assert json.loads(out)["p"] == echo
+
     @pytest.mark.parametrize("cmd", [
         ("gen", "--model", "gnp", "--n", "5", "--out", "g.txt", "--p"),
         ("compare", "--family", "gnp", "--n", "3..3", "--json", "--p"),
@@ -614,6 +663,14 @@ class TestSelftestCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "graph-invariants: FAIL (diagonal entry set at vertex 1)"
         assert lines[-1] == "selftest: FAIL"
+
+    def test_negative_control_asymmetric_undigraph(self, monkeypatch, capsys):
+        # Undirected rows that hold the arc 1 -> 2 but not 2 -> 1, injected the same way.
+        fault = tuple.__new__(UndiGraph, (3, (0b010, 0b000, 0b000)))
+        battery = selftest._graph_battery
+        monkeypatch.setattr(selftest, "_graph_battery", lambda: [*battery(), fault])
+        assert cli.main(["selftest"]) == 4
+        assert capsys.readouterr().out.splitlines()[0] == "graph-invariants: FAIL (undirected rows are not symmetric)"
 
     def test_vector_draws_equal_scalar_draws(self):
         # Generator.integers takes one uint32 per draw whether it draws one

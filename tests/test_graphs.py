@@ -1,6 +1,8 @@
 """Graph construction, transformation, contraction, witnesses, generators."""
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +12,15 @@ from hamb import (
     CycleWitness,
     DiGraph,
     GraphSizeError,
+    UndiGraph,
     build_digraph,
     build_undigraph,
     contract,
     degrees,
     gen_family,
     gen_gnp,
+    ham_dp,
+    ham_undirected,
     is_symmetric,
     row_sums,
     to_symmetric_digraph,
@@ -50,6 +55,46 @@ class TestBuildDigraph:
     def test_direct_construction_rejects_diagonal(self):
         with pytest.raises(ValueError, match="self-loop"):
             DiGraph(2, (0b01, 0b10))
+
+
+class TestUndiGraph:
+    def test_rows_are_the_doubled_image(self):
+        g = build_undigraph(3, [(1, 2), (3, 2)])
+        assert g.rows == (0b010, 0b101, 0b010)
+        d = to_symmetric_digraph(g)
+        assert type(d) is DiGraph and d.rows == g.rows and d != g
+
+    @pytest.mark.parametrize("n, rows, error, message", [
+        (3, (0b010, 0b000, 0b000), ValueError, "undirected rows must be symmetric"),
+        (2, (0b01, 0b00), ValueError, "self-loop at vertex 1"),
+        (2, (0b110, 0b000), ValueError, "bits outside 1..2"),
+        (65, (0,) * 65, GraphSizeError, "exceeds the vertex cap of 64"),
+    ], ids=["asymmetric", "diagonal", "outside", "n65"])
+    def test_constructor_rejects(self, n, rows, error, message):
+        with pytest.raises(error, match=message):
+            UndiGraph(n, rows)
+
+    def test_build_messages(self):
+        with pytest.raises(ValueError, match=re.escape("edge (1, 4) out of range 1..3")):
+            build_undigraph(3, [(1, 2), (1, 4)])
+        with pytest.raises(ValueError, match=re.escape("self-loop (2, 2) is not allowed")):
+            build_undigraph(3, [(2, 2)])
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_rows_hold_the_pairs(self, data):
+        # Unordered, repeated and reversed pairs, as a graph file may list them.
+        n = data.draw(st.integers(2, 7))
+        vertex = st.integers(1, n)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])))
+        g = build_undigraph(n, pairs)
+        normalized = {(min(u, v), max(u, v)) for u, v in pairs}
+        assert g.edge_list() == sorted(normalized)
+        assert g.num_edges == len(normalized)
+        assert degrees(g) == tuple(sum(k in e for e in normalized) for k in range(1, n + 1))
+        assert all(g.has_edge(u, v) and g.has_edge(v, u) for u, v in normalized)
+        if n >= 3:
+            assert ham_dp(g) == 2 * ham_undirected(g)
 
 
 class TestSymmetrize:

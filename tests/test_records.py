@@ -34,7 +34,7 @@ _VALUE_REPR = "BoundValue(exact=Fraction(27, 8), log_upper=1.25, integer_cap=3)"
 RECORDS = {
     "ContractedMatrix": (lambda: ContractedMatrix(2, (3, 1)), "rows", "ContractedMatrix(n=2, rows=(3, 1))"),
     "DiGraph": (lambda: DiGraph(2, (2, 1)), "n", "DiGraph(n=2, rows=(2, 1))"),
-    "UndiGraph": (lambda: UndiGraph(3, frozenset({(0, 1)})), "edges", "UndiGraph(n=3, edges=frozenset({(0, 1)}))"),
+    "UndiGraph": (lambda: UndiGraph(3, (2, 1, 0)), "rows", "UndiGraph(n=3, rows=(2, 1, 0))"),
     "CycleWitness": (_witness, "vertices", "CycleWitness(vertices=(1, 2, 3), directed=True)"),
     "RowOrderPolicy": (
         lambda: RowOrderPolicy.from_table([[2, 1], [1, 1]]),
@@ -99,12 +99,15 @@ class TestGraphRecords:
         assert not d == m and not m == d
         assert d != (2, (2, 1)) and (2, (2, 1)) != d
         assert d == DiGraph(2, (2, 1)) and not d != DiGraph(2, (2, 1))
+        u = UndiGraph(3, (6, 5, 3))  # the triangle, and below its doubled image
+        assert u != DiGraph(3, u.rows) and DiGraph(3, u.rows) != u
+        assert not u == DiGraph(3, u.rows) and not DiGraph(3, u.rows) == u
 
     def test_constructors_validate(self):
         with pytest.raises(ValueError, match="self-loop at vertex 1"):
             DiGraph(2, (0b01, 0b10))
-        with pytest.raises(ValueError, match="bad internal edge"):
-            UndiGraph(3, frozenset({(0, 3)}))
+        with pytest.raises(ValueError, match="undirected rows must be symmetric"):
+            UndiGraph(3, (2, 0, 0))
         with pytest.raises(ValueError, match="bits outside"):
             ContractedMatrix(2, (0b100, 0))
         with pytest.raises(PolicyError, match="follow-path start"):
