@@ -125,28 +125,31 @@ class UndiGraph(ContractedMatrix):
         return [(u + 1, v + 1) for u in range(self.n) for v in range(u + 1, self.n) if self.rows[u] >> v & 1]
 
 
-def _build(cls: type, n: int, pairs: Iterable[tuple[int, int]], what: str):
+def build_digraph(n: int, edges: Iterable[tuple[int, int]]) -> DiGraph:
+    """Build a DiGraph from 1-based arc pairs; duplicates collapse silently."""
     _check_vertex_count(n)
     rows = [0] * n
-    for u, v in pairs:
+    for u, v in edges:
         if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"{what} ({u}, {v}) out of range 1..{n}")
+            raise ValueError(f"arc ({u}, {v}) out of range 1..{n}")
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) is not allowed")
         rows[u - 1] |= 1 << (v - 1)
-        if cls is UndiGraph:
-            rows[v - 1] |= 1 << (u - 1)
-    return cls(n, tuple(rows))
-
-
-def build_digraph(n: int, edges: Iterable[tuple[int, int]]) -> DiGraph:
-    """Build a DiGraph from 1-based arc pairs; duplicates collapse silently."""
-    return _build(DiGraph, n, edges, "arc")
+    return DiGraph(n, tuple(rows))
 
 
 def build_undigraph(n: int, edges: Iterable[tuple[int, int]]) -> UndiGraph:
     """Build an UndiGraph from 1-based unordered pairs, both bits of each; duplicates collapse."""
-    return _build(UndiGraph, n, edges, "edge")
+    _check_vertex_count(n)
+    rows = [0] * n
+    for u, v in edges:
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ValueError(f"edge ({u}, {v}) out of range 1..{n}")
+        if u == v:
+            raise ValueError(f"self-loop ({u}, {v}) is not allowed")
+        rows[u - 1] |= 1 << (v - 1)
+        rows[v - 1] |= 1 << (u - 1)
+    return UndiGraph(n, tuple(rows))
 
 
 def to_symmetric_digraph(g: UndiGraph) -> DiGraph:
