@@ -32,6 +32,7 @@ Exit codes: 0 success, 1 usage error, 2 input error, 3 size-limit error,
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import importlib
 import math
@@ -43,7 +44,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import GraphSizeError, ParseError, PolicyError
-from .graphs import FAMILIES, GRAPH_KINDS, HARD_MAX_N, DiGraph, UndiGraph, gen_family, gen_gnp, row_sums, to_symmetric_digraph
+from .graphs import FAMILIES, GRAPH_KINDS, HARD_MAX_N, DiGraph, UndiGraph, gen_family, gen_gnp, row_sums
 from .io import load_table_policy, parse_graph, read_int, serialize_graph, sha256_hex
 
 if TYPE_CHECKING:
@@ -141,16 +142,12 @@ def _cmd_exact(args) -> int:
 
     g, info = _read_input(args)
     fields = {"command": "exact", **info, "method": args.method}
-    if isinstance(g, UndiGraph):
-        if args.method == "permanent":
-            count = exact.permanent_ryser(to_symmetric_digraph(g))
-            fields["note"] = "permanent of the doubled directed image"
-        else:
-            count = exact.ham_undirected(g, method=args.method)
-    else:
-        fn = {"dp": exact.ham_dp, "brute": exact.ham_bruteforce, "permanent": exact.permanent_ryser}[args.method]
-        count = fn(g)
-    fields["count"] = str(count)
+    counter = {"dp": exact.ham_dp, "brute": exact.ham_bruteforce, "permanent": exact.permanent_ryser}[args.method]
+    if isinstance(g, UndiGraph) and args.method == "permanent":
+        fields["note"] = "permanent of the doubled directed image"
+    elif isinstance(g, UndiGraph):  # half the count of the doubled image
+        counter = functools.partial(exact.ham_undirected, method=args.method)
+    fields["count"] = str(counter(g))
     _emit_fields(args, fields)
     return EXIT_OK
 
@@ -165,8 +162,7 @@ def _cmd_estimate(args) -> int:
     undirected = isinstance(g, UndiGraph)
     if undirected and g.n < 3:
         raise ValueError("undirected estimation needs n >= 3 (the halved estimate assumes it)")
-    digraph = to_symmetric_digraph(g) if undirected else g
-    report = estimate(digraph, policy, args.trials, args.seed)
+    report = estimate(g, policy, args.trials, args.seed)  # an UndiGraph's rows are its doubled image's
     fields = {
         "command": "estimate",
         **info,

@@ -8,7 +8,8 @@ for every remaining row, the column at the row's own position is exactly the
 arc that would close the partial cycle too early, so excluding it makes every
 surviving branch a full Hamiltonian cycle.  The trial value is the product of
 the candidate-set sizes, an unbiased estimate of the cycle count: a cycle
-selected with probability 1/x contributes value x.
+selected with probability 1/x contributes value x.  Trials read the bit rows of
+any ``ContractedMatrix``: an ``UndiGraph`` is estimated as its doubled image.
 
 Row order is a policy: one rule for picking the row on one trial, ``_run``:
 
@@ -33,13 +34,13 @@ trial's working state, each step draws for all live trials at once, and trials
 whose candidate set empties drop out of the block.  A step at which no trial
 drops out compacts nothing, and a step at which every trial expands its top
 row deletes that row by a slice.  Only the trials of non-zero value reach the
-Python aggregation; the zeros are counted.  The matrix kernel, which runs
-``ascending`` and ``table``, holds each entry of a trial's working rows and
-column labels as one ``uint16``, row and label a byte each (n <= 64).  It
-counts each trial's candidates and finds the chosen one in the block's flat
-list of candidate positions.  The ``follow-path`` kernel holds a trial as its
-endpoint and one ``uint64`` mask of visited vertices, and picks the chosen
-out-neighbour by a broadword popcount and select on a ``uint64`` mask.
+Python aggregation; the zeros are counted.  Both kernels take the rows as
+``uint64`` masks.  The matrix kernel, which runs ``ascending`` and ``table``,
+holds each entry of a trial's working rows and column labels as one
+``uint16``, row and label a byte each (n <= 64), and finds the chosen
+candidate in the block's flat list of candidate positions.  The
+``follow-path`` kernel holds a trial as its endpoint and a mask of visited
+vertices, and picks the chosen out-neighbour by broadword popcount and select.
 
 The block takes its trials' PCG64 words from :func:`hamb.pcg.stream_words`,
 1024 trials at a time, and draws from them as ``Generator.integers`` does.  A
@@ -60,7 +61,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import PolicyError
-from .graphs import CycleWitness, DiGraph, check_integer
+from .graphs import ContractedMatrix, CycleWitness, check_integer
 from .io import sha256_hex
 from .pcg import Stream, stream_words
 
@@ -152,7 +153,7 @@ class EstimateReport(NamedTuple):
 trial_stream = Stream  # trial t draws from trial_stream(seed, t)
 
 
-def _check_policy(g: DiGraph, policy: RowOrderPolicy) -> None:
+def _check_policy(g: ContractedMatrix, policy: RowOrderPolicy) -> None:
     if policy.kind == "follow-path" and policy.start > g.n:
         raise PolicyError(f"follow-path start {policy.start} out of range for n={g.n}")
     if policy.kind == "table" and len(policy.table) != g.n:
@@ -171,7 +172,7 @@ def _cycle_order(succ: dict[int, int], n: int) -> list[int]:
     return order
 
 
-def _run(g: DiGraph, policy: RowOrderPolicy, choose: Callable[[list[int]], int]):
+def _run(g: ContractedMatrix, policy: RowOrderPolicy, choose: Callable[[list[int]], int]):
     """One matrix-form trial; the policy only picks the row to expand.
 
     ``ascending`` is the all-ones table.  ``follow-path`` expands the start's
@@ -214,7 +215,7 @@ def _run(g: DiGraph, policy: RowOrderPolicy, choose: Callable[[list[int]], int])
     raise AssertionError("unreachable")
 
 
-def _make_outcome(g: DiGraph, ps: list[int], cycle: list[int] | None) -> TrialOutcome:
+def _make_outcome(g: ContractedMatrix, ps: list[int], cycle: list[int] | None) -> TrialOutcome:
     factors = tuple(ps) + (0,) * (g.n - len(ps))
     witness = None
     if cycle is not None:
@@ -222,7 +223,7 @@ def _make_outcome(g: DiGraph, ps: list[int], cycle: list[int] | None) -> TrialOu
     return TrialOutcome(value=math.prod(factors), witness=witness, p_factors=factors)
 
 
-def trial_with_policy(g: DiGraph, policy: RowOrderPolicy, stream: Stream) -> TrialOutcome:
+def trial_with_policy(g: ContractedMatrix, policy: RowOrderPolicy, stream: Stream) -> TrialOutcome:
     """One randomized trial under the given row-order policy, drawing from ``stream``."""
     _check_policy(g, policy)
     ps, cycle = _run(g, policy, lambda cand: cand[int(stream.integers(len(cand)))])
@@ -250,7 +251,7 @@ def _replay_chooser(prefix: tuple[int, ...], denom: list[int]):
     return choose
 
 
-def enumerate_branches(g: DiGraph, policy: RowOrderPolicy) -> Iterator[tuple[Fraction, TrialOutcome]]:
+def enumerate_branches(g: ContractedMatrix, policy: RowOrderPolicy) -> Iterator[tuple[Fraction, TrialOutcome]]:
     """Exhaustively enumerate the estimator's random decision tree.
 
     Yields (probability, outcome) for every branch; the probability is the
@@ -365,7 +366,7 @@ def _select(x, prefix, pick):
     return shift + _SELECT_IN_BYTE[(x >> shift & _BYTE) << _U3 | rank]
 
 
-def _walk(adj: np.ndarray, start: int, u32: np.ndarray):
+def _walk(out: np.ndarray, start: int, u32: np.ndarray):
     """Lockstep follow-path as a walk over bit masks; the tests hold it to ``_run``.
 
     There, labels other than the start's are only ever deleted, so they stay in
@@ -373,10 +374,9 @@ def _walk(adj: np.ndarray, start: int, u32: np.ndarray):
     position.  So ``_run`` offers the endpoint's unvisited out-neighbours in
     ascending order, as this walk does, and its last step tests the arc home.
     A trial's state is its endpoint and one uint64 mask of visited vertices
-    (n <= 64); vertex ``v``'s out-neighbours are the mask ``out[v]``.
+    (n <= 64); vertex ``v``'s out-neighbours are the mask ``out[v]``, its row.
     """
-    blk, n = len(u32), len(adj)
-    out = np.bitwise_or.reduce(adj.astype(np.uint64) << np.arange(n, dtype=np.uint64), axis=1)
+    blk, n = len(u32), len(out)
     widths = np.zeros((n - 1, blk), dtype=np.uint8)
     live, redo = np.arange(blk), []
     nxt = live * u32.shape[1]
@@ -408,8 +408,8 @@ def _expand(adj: np.ndarray, order: np.ndarray, u32: np.ndarray):
     nxt = live * u32.shape[1]
     pairs = np.tile(np.arange(n, dtype=np.uint16) * np.uint16(0x101), (blk, 1))  # row == label == position
     k = np.zeros(blk, dtype=np.intp)
-    flat = np.zeros((n, 256), dtype=bool)  # adj[u, label] is flat[u << 8 | label]
-    flat[:, :n] = adj
+    flat = np.zeros((n, 256), dtype=bool)  # bit label of adj[u] is flat[u << 8 | label]
+    flat[:, :n] = adj[:, None] >> np.arange(n, dtype=np.uint64) & _U1
     flat = flat.ravel()
     positions = np.arange(n, dtype=np.uint8)
     for step in range(n - 1):
@@ -439,7 +439,7 @@ def _expand(adj: np.ndarray, order: np.ndarray, u32: np.ndarray):
     return live[flat[pairs[:, 0]]], widths, redo
 
 
-def _block_values(g: DiGraph, policy: RowOrderPolicy, seed: int, trials: range) -> Iterator[tuple[int, dict[int, int]]]:
+def _block_values(g: ContractedMatrix, policy: RowOrderPolicy, seed: int, trials: range) -> Iterator[tuple[int, dict[int, int]]]:
     """The values ``trial_with_policy(g, policy, trial_stream(seed, t)).value`` in lockstep.
 
     Yields one ``(size, values)`` per block: the block's ``size`` trials, and
@@ -450,7 +450,7 @@ def _block_values(g: DiGraph, policy: RowOrderPolicy, seed: int, trials: range) 
     raw words.  A rejected draw would read on; the trial is redone on the
     scalar path instead.
     """
-    adj = np.array(g.matrix(), dtype=bool)
+    adj = np.array(g.rows, dtype=np.uint64)
     if policy.kind == "follow-path":
         kernel = functools.partial(_walk, adj, policy.start - 1)
     else:
@@ -473,7 +473,7 @@ def _block_values(g: DiGraph, policy: RowOrderPolicy, seed: int, trials: range) 
         first = stop
 
 
-def estimate(g: DiGraph, policy: RowOrderPolicy, trials: int, seed: int) -> EstimateReport:
+def estimate(g: ContractedMatrix, policy: RowOrderPolicy, trials: int, seed: int) -> EstimateReport:
     """Run independent trials and aggregate them exactly.
 
     Trial ``t`` uses ``trial_stream(seed, t)`` and takes the value

@@ -2,10 +2,11 @@
 
 All counters return arbitrary-precision integers.  ``ham_bruteforce`` is the
 literal permutation-cycle sum and serves as the independent oracle for the
-subset dynamic program; both take any ``ContractedMatrix``, of which a
-``DiGraph`` is one (a contracted matrix's diagonal may carry ones - those
-entries can only matter for a 1x1 matrix, since a cycle product never repeats
-an index).
+subset dynamic program.  Every counter takes any ``ContractedMatrix`` and
+reads its bit rows: a ``DiGraph`` is one, and so is an ``UndiGraph``, whose
+rows are those of its doubled image, so a counter given one counts that image
+(a contracted matrix's diagonal may carry ones - those entries can only matter
+for a 1x1 matrix, since a cycle product never repeats an index).
 
 Up to n = ``SMALL_N`` (12), ``ham_dp`` and ``permanent_ryser`` run in plain
 Python, which at that size costs less than importing numpy.  Both are subset
@@ -48,7 +49,7 @@ from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING
 
 from .errors import GraphSizeError
-from .graphs import ContractedMatrix, DiGraph, UndiGraph, row_sums, to_symmetric_digraph
+from .graphs import ContractedMatrix, UndiGraph, row_sums
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -296,8 +297,8 @@ def _permanent_residue(m: ContractedMatrix, p: int) -> int:
     """
     import numpy as np
 
-    a = np.array(m.matrix(), dtype=np.uint64)
     n = m.n
+    a = np.array(m.rows, dtype=np.uint64)[:, None] >> np.arange(n, dtype=np.uint64) & np.uint64(1)
     b = min(n, _CHUNK_BITS)
     low = _subset_sums(a[:, :b])
     high = _subset_sums(a[:, b:])
@@ -347,22 +348,22 @@ def _layer_masks(k: int) -> Iterator[np.ndarray]:
 
 
 def ham_undirected(g: UndiGraph, method: str = "dp") -> int:
-    """Count undirected Hamiltonian cycles through the doubled directed image.
+    """Count undirected Hamiltonian cycles by counting the directed ones of ``g``.
 
-    Each undirected cycle corresponds to exactly two directed traversals of
-    the symmetric image, so the directed count halves exactly.  Requires
-    n >= 3: on fewer vertices a doubled edge is not a simple cycle.
+    ``g``'s rows are those of its doubled directed image, and each undirected
+    cycle corresponds to exactly two directed traversals of that image, so the
+    directed count halves exactly.  Requires n >= 3: on fewer vertices a
+    doubled edge is not a simple cycle.
     """
     if g.n < 3:
         raise ValueError(f"undirected cycle counting needs n >= 3, got n={g.n}")
-    counter = {"dp": ham_dp, "brute": ham_bruteforce}[method]
-    doubled = counter(to_symmetric_digraph(g))
+    doubled = {"dp": ham_dp, "brute": ham_bruteforce}[method](g)
     if doubled % 2:
         raise AssertionError("directed count of a symmetric image must be even")
     return doubled // 2
 
 
-def estimator_expectation(g: DiGraph, policy: RowOrderPolicy) -> Fraction:
+def estimator_expectation(g: ContractedMatrix, policy: RowOrderPolicy) -> Fraction:
     """Exact expectation of a randomized trial under the given policy.
 
     Enumerates every branch of the decision tree and sums probability times

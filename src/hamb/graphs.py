@@ -159,12 +159,15 @@ def to_symmetric_digraph(g: UndiGraph) -> DiGraph:
 
 
 def is_symmetric(m: ContractedMatrix) -> bool:
-    """True iff the matrix equals its transpose."""
-    return all(
-        (m.rows[u] >> v & 1) == (m.rows[v] >> u & 1)
-        for u in range(m.n)
-        for v in range(u + 1, m.n)
-    )
+    """True iff the matrix equals its transpose: row v has bit u for each set bit v of row u."""
+    rows = m.rows
+    for u, row in enumerate(rows):
+        while row:
+            low = row & -row
+            if not rows[low.bit_length() - 1] >> u & 1:
+                return False
+            row ^= low
+    return True
 
 
 def row_sums(g: ContractedMatrix) -> tuple[int, ...]:

@@ -792,6 +792,22 @@ class TestLazyImports:
                           if f"{name}.".startswith(("numpy.random.", "np.random."))]
         assert not found
 
+    def test_only_the_generators_retag_and_no_module_unpacks_a_matrix(self):
+        # An UndiGraph holds its doubled image's bit rows, so the counters, the
+        # estimator and the CLI read those rows as they are, and a numpy kernel
+        # builds its arrays from the rows, not from a list of 0/1 lists.
+        found = []
+        for path in sorted((SRC / "hamb").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if (name == "matrix" and isinstance(func, ast.Attribute)
+                        or name == "to_symmetric_digraph" and path.name != "graphs.py"):
+                    found.append((path.name, node.lineno, name))
+        assert not found
+
     # No command loads dataclasses (and with it inspect, ast and dis); each
     # loads only the hamb modules, and the stdlib ones, that it runs.
     @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamb import (
+    DiGraph,
     PolicyError,
     RowOrderPolicy,
     build_digraph,
@@ -24,7 +25,7 @@ from hamb import (
 from hamb import estimator
 from hamb.exact import ham_dp
 
-from conftest import all_digraphs, digraphs, run_cli
+from conftest import all_digraphs, digraphs, run_cli, undigraphs
 
 
 class TestRowOrderPolicy:
@@ -212,6 +213,22 @@ class TestEstimate:
         a = estimate(g, RowOrderPolicy.follow_path(5), 500, 99)
         b = estimate(g, RowOrderPolicy.follow_path(5), 500, 99)
         assert a == b
+
+    @settings(max_examples=15, deadline=None)
+    @given(undigraphs(min_n=3, max_n=8), st.integers(0, 2**64))
+    def test_undigraph_is_estimated_as_its_image(self, g, seed):
+        # An UndiGraph holds its doubled image's rows, and estimate reads them as they are.
+        image = DiGraph(g.n, g.rows)
+        for policy in _policies(g.n, seed):
+            assert estimate(g, policy, 50, seed) == estimate(image, policy, 50, seed), policy
+
+    def test_undigraph_is_estimated_as_its_image_across_blocks(self):
+        g = gen_gnp(20, 0.4, 3, "undirected")
+        image = DiGraph(g.n, g.rows)
+        trials = estimator._BLOCK + 100
+        for policy in _policies(g.n, 3):
+            report = estimate(g, policy, trials, 11)
+            assert report == estimate(image, policy, trials, 11) and report.sum, policy
 
     def test_mean_is_sum_over_trials(self):
         g = gen_gnp(7, 0.6, 5, "digraph")

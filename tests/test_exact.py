@@ -15,6 +15,7 @@ from hypothesis import given, settings
 
 from hamb import (
     ContractedMatrix,
+    DiGraph,
     GraphSizeError,
     RowOrderPolicy,
     build_digraph,
@@ -239,6 +240,12 @@ class TestPermanent:
     def test_size_cap(self):
         with pytest.raises(GraphSizeError, match="24"):
             permanent_ryser(build_digraph(25, []))
+
+    @pytest.mark.parametrize("n", [5, 8, exact.SMALL_N, exact.SMALL_N + 1, 14, 16])
+    def test_undigraph_is_counted_as_its_image(self, n):
+        # Both sides of SMALL_N: the pure path reads the rows, the numpy kernel unpacks them.
+        g = gen_gnp(n, 0.6, n, "undirected")
+        assert permanent_ryser(g) == permanent_ryser(DiGraph(g.n, g.rows)) > 0
 
     def test_d21_exceeds_two_to_the_64(self):
         # perm(J - I) for n = 21 counts derangements: above 2^64, and so is

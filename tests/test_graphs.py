@@ -97,6 +97,11 @@ class TestUndiGraph:
             assert ham_dp(g) == 2 * ham_undirected(g)
 
 
+def _pairwise_symmetric(m: ContractedMatrix) -> bool:
+    """The definition: entry (u, v) equals entry (v, u) for every pair u < v."""
+    return all((m.rows[u] >> v & 1) == (m.rows[v] >> u & 1) for u in range(m.n) for v in range(u + 1, m.n))
+
+
 class TestSymmetrize:
     def test_triangle(self):
         d = to_symmetric_digraph(gen_family("cycle", 3, "undirected"))
@@ -117,6 +122,25 @@ class TestSymmetrize:
 
     def test_empty_is_symmetric(self):
         assert is_symmetric(build_digraph(3, []))
+
+    def test_every_three_by_three_matrix(self):
+        # All 512 0/1 matrices of dimension 3, diagonal ones included.
+        for bits in range(1 << 9):
+            m = ContractedMatrix(3, tuple(bits >> 3 * u & 0b111 for u in range(3)))
+            assert is_symmetric(m) == _pairwise_symmetric(m), m
+
+    @settings(max_examples=100, deadline=None)
+    @given(digraphs(max_n=8))
+    def test_hypothesis_digraphs(self, g):
+        assert is_symmetric(g) == _pairwise_symmetric(g)
+
+    @pytest.mark.parametrize("arc", [(1, 64), (64, 1), (63, 64)])
+    def test_complete_64_less_one_arc_at_bit_63(self, arc):
+        k64 = gen_family("complete", 64, "digraph")
+        assert is_symmetric(k64)
+        u, v = arc[0] - 1, arc[1] - 1
+        m = DiGraph(64, tuple(row ^ (1 << v if w == u else 0) for w, row in enumerate(k64.rows)))
+        assert not m.has_arc(*arc) and not is_symmetric(m) and not _pairwise_symmetric(m)
 
     @given(undigraphs())
     def test_row_sums_match_degrees(self, g):
