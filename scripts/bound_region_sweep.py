@@ -15,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hamb import bregman_bound, symmetric_product_value  # noqa: E402
+from hamb.bounds import bregman_bound, symmetric_product_value  # noqa: E402
 
 
 def log_margin(n: int, k: int) -> float:

@@ -9,8 +9,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hamb import RowOrderPolicy, estimate, gen_gnp  # noqa: E402
+from hamb.estimator import RowOrderPolicy, estimate  # noqa: E402
 from hamb.exact import ham_dp  # noqa: E402
+from hamb.graphs import gen_gnp  # noqa: E402
 
 
 def main() -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .graphs import DiGraph, UndiGraph, check_integer, degrees, is_symmetric, row_sums
+from .graphs import DiGraph, UndiGraph, check_integer, is_symmetric, row_sums
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -166,7 +166,7 @@ def undirected_bounds(g: UndiGraph) -> BoundReport:
     """
     if g.n < 3:
         raise ValueError(f"undirected bounds need n >= 3, got n={g.n}")
-    d = degrees(g)
+    d = row_sums(g)
     return _report(
         _exact_bound(minc_bound(d).exact / 2),
         _bregman_value(d, _up(-math.log(2.0))),

@@ -175,9 +175,6 @@ def row_sums(g: ContractedMatrix) -> tuple[int, ...]:
     return tuple(row.bit_count() for row in g.rows)
 
 
-degrees = row_sums
-
-
 def _delete_bit(x: int, pos: int) -> int:
     return (x & ((1 << pos) - 1)) | ((x >> (pos + 1)) << pos)
 
@@ -227,11 +224,13 @@ class CycleWitness(NamedTuple):
         return cls(vs, directed)
 
     def is_cycle_of(self, g: DiGraph | UndiGraph) -> bool:
-        """True iff this is a Hamiltonian cycle of ``g``, a ``DiGraph`` for a
-        directed witness and an ``UndiGraph`` for an undirected one (all
-        consecutive pairs, including the closing one, are arcs/edges of ``g``)."""
+        """True iff this is a Hamiltonian cycle of ``g``: every consecutive pair,
+        the closing one included, is set in ``g``'s rows.  A directed witness is
+        read against the rows of either kind, an ``UndiGraph``'s being those of
+        its doubled image as the counters read them; an undirected witness
+        needs an ``UndiGraph``."""
         vs = self.vertices
-        if not isinstance(g, DiGraph if self.directed else UndiGraph):
+        if not (self.directed or isinstance(g, UndiGraph)):
             return False
         if len(vs) != g.n or set(vs) != set(range(1, g.n + 1)):
             return False

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from hamb import DiGraph, UndiGraph, build_undigraph  # noqa: E402
+from hamb.graphs import DiGraph, UndiGraph, build_undigraph  # noqa: E402
 from hamb.selftest import all_digraphs, all_undigraphs  # noqa: E402,F401
 
 

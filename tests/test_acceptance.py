@@ -12,22 +12,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from hamb import (
-    RowOrderPolicy,
-    bregman_bound,
-    contract,
-    estimate,
-    gen_family,
-    gen_gnp,
-    minc_bound,
-    symmetric_bound,
-    symmetric_product_value,
-    to_symmetric_digraph,
-    undirected_bounds,
-)
-from hamb.io import parse_graph, serialize_graph
+from hamb.bounds import bregman_bound, minc_bound, symmetric_bound, symmetric_product_value, undirected_bounds
+from hamb.estimator import RowOrderPolicy, estimate
 from hamb.exact import estimator_expectation, ham_bruteforce, ham_dp, ham_undirected, permanent_ryser
-from hamb.graphs import is_symmetric, row_sums
+from hamb.graphs import contract, gen_family, gen_gnp, is_symmetric, row_sums, to_symmetric_digraph
+from hamb.io import parse_graph, serialize_graph
 
 from conftest import all_digraphs, all_undigraphs, run_cli
 

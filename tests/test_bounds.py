@@ -7,21 +7,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hamb import (
+from hamb.bounds import (
     bregman_bound,
-    build_digraph,
-    build_undigraph,
     digraph_bounds,
     dominance_compare,
-    gen_family,
-    gen_gnp,
     minc_bound,
     symmetric_bound,
     symmetric_product_value,
     undirected_bounds,
 )
 from hamb.exact import ham_dp, ham_undirected, permanent_ryser
-from hamb.graphs import is_symmetric, row_sums, to_symmetric_digraph
+from hamb.graphs import (
+    build_digraph,
+    build_undigraph,
+    gen_family,
+    gen_gnp,
+    is_symmetric,
+    row_sums,
+    to_symmetric_digraph,
+)
 
 
 class TestMinc:

@@ -10,20 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamb import (
-    DiGraph,
-    PolicyError,
+from hamb import estimator
+from hamb.errors import PolicyError
+from hamb.estimator import (
     RowOrderPolicy,
-    build_digraph,
     enumerate_branches,
     estimate,
-    gen_family,
-    gen_gnp,
     trial_stream,
     trial_with_policy,
 )
-from hamb import estimator
 from hamb.exact import ham_dp
+from hamb.graphs import DiGraph, build_digraph, gen_family, gen_gnp
 
 from conftest import all_digraphs, digraphs, run_cli, undigraphs
 
@@ -107,7 +104,7 @@ class TestTrials:
         assert out.p_factors == (3, 2, 1, 1)
 
     @settings(max_examples=40, deadline=None)
-    @given(digraphs(max_n=6))
+    @given(st.one_of(digraphs(max_n=6), undigraphs(min_n=3, max_n=7)))
     def test_witness_soundness(self, g):
         for t in range(5):
             out = trial_with_policy(g, RowOrderPolicy.ascending(), trial_stream(13, t))

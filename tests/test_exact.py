@@ -13,26 +13,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from hamb import (
-    ContractedMatrix,
-    DiGraph,
-    GraphSizeError,
-    RowOrderPolicy,
-    build_digraph,
-    build_undigraph,
-    contract,
-    gen_family,
-    gen_gnp,
-    to_symmetric_digraph,
-)
 from hamb import exact
 from hamb.bounds import bregman_bound
+from hamb.errors import GraphSizeError
+from hamb.estimator import RowOrderPolicy
 from hamb.exact import (
     estimator_expectation,
     ham_bruteforce,
     ham_dp,
     ham_undirected,
     permanent_ryser,
+)
+from hamb.graphs import (
+    ContractedMatrix,
+    DiGraph,
+    build_digraph,
+    build_undigraph,
+    contract,
+    gen_family,
+    gen_gnp,
+    to_symmetric_digraph,
 )
 
 from conftest import all_digraphs, digraphs

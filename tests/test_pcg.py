@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from hamb import build_digraph, build_undigraph, gen_gnp, to_symmetric_digraph
+from hamb.graphs import build_digraph, build_undigraph, gen_gnp, to_symmetric_digraph
 from hamb.pcg import Stream, stream_words
 
 SEEDS = [*range(301), 2**32 - 1, 2**32, 2**64, 2**128 + 5]

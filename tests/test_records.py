@@ -5,19 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from hamb import (
-    BoundReport,
-    BoundValue,
-    ContractedMatrix,
-    CycleWitness,
-    DiGraph,
-    DominanceRecord,
-    EstimateReport,
-    PolicyError,
-    RowOrderPolicy,
-    TrialOutcome,
-    UndiGraph,
-)
+from hamb.bounds import BoundReport, BoundValue, DominanceRecord
+from hamb.errors import PolicyError
+from hamb.estimator import EstimateReport, RowOrderPolicy, TrialOutcome
+from hamb.graphs import ContractedMatrix, CycleWitness, DiGraph, UndiGraph
 
 
 def _value() -> BoundValue:
