@@ -25,8 +25,10 @@ table.  It builds the next layer a chunk of subsets at a time by adding the
 rows of each endpoint's in-neighbours, and frees each layer as it reads it, so
 about one layer is alive at a time; the permanent is Ryser's
 inclusion-exclusion over column subsets, also taken a chunk of subsets at a
-time.  Both run once in wrapping ``uint64`` arithmetic, which yields the
-result modulo 2^64.  A Hamiltonian cycle is a permutation, so
+time.  Both run once in wrapping fixed-width arithmetic, which yields the
+result modulo 2^64: the permanent in ``uint64``, the dynamic program in
+``uint64`` or, on a layer whose entries are known to fit, in ``uint32``
+(``_ham_dp_layers`` gives the rule).  A Hamiltonian cycle is a permutation, so
 count <= permanent <= the Bregman bound of :mod:`hamb.bounds`, and whenever
 that bound's integer cap is below 2^64 the residue is the result.  Above it,
 each kernel runs again modulo one prime below 2^49, reducing after every
@@ -219,8 +221,8 @@ def _ham_dp_layers(m: ContractedMatrix, p: int) -> Iterator[list[list[np.ndarray
     Vertex 1 is the start, and vertices 2..n are bits 0..k-1 of a subset.
     Layer L has k rows: row w has one entry per L-subset S that contains w,
     in ascending order of S, and counts the paths from vertex 1 through
-    exactly S that end at w.  A row is a list of ``uint64`` segments, which
-    concatenate to its entries.  Layer L comes from layer L-1 a chunk of the
+    exactly S that end at w.  A row is a list of segments, which concatenate
+    to its entries.  Layer L comes from layer L-1 a chunk of the
     (L-1)-subsets T at a time, in ascending order:
 
     - expand: row v's entries for the chunk's T that hold v are the next ones
@@ -239,6 +241,19 @@ def _ham_dp_layers(m: ContractedMatrix, p: int) -> Iterator[list[list[np.ndarray
     at the end of its chunk: one still bound while the next chunk allocates,
     or while a layer is yielded, would be a second chunk alive, and the
     process's peak RSS would hold both.
+
+    Layer L (its segments, the chunk's block and the sums) is ``uint32`` when
+    (L-1)! < 2^32 (L <= 13) and layer L-1 spans more than one chunk, and
+    ``uint64`` otherwise.  An entry of layer L counts orderings of the L-1
+    vertices of S other than w, so it is at most (L-1)!; so is each sum of
+    the add step, which counts the paths through its T that end at an
+    in-neighbour of w, and in a prime pass a residue never exceeds its count.
+    Such a layer never wraps and takes half the bytes, and most of the middle
+    layers, which set the peak, are of this kind.  A layer built from one
+    chunk stays ``uint64``, which covers every layer for n <= 15: it would
+    save less than the numpy code pages that the ``uint32`` loops map into
+    the process (with every layer narrowed, an n = 13 count peaked ~0.03 MB
+    higher).
     """
     import numpy as np
 
@@ -249,15 +264,18 @@ def _ham_dp_layers(m: ContractedMatrix, p: int) -> Iterator[list[list[np.ndarray
     yield layer
     weights = (1 << np.arange(k, dtype=np.int32))[:, None]
     buf, modulus = np.empty(_LAYER_CHUNK, dtype=np.uint64), np.uint64(p)
-    for subsets in itertools.islice(_layer_masks(k), k - 1):
+    # Layer L = size + 1 is built from the C(k, size) subsets of size `size`.
+    dtypes = [np.uint32 if math.comb(k, size) > _LAYER_CHUNK and math.factorial(size) < 1 << 32 else np.uint64
+              for size in range(1, k)]
+    for dtype, subsets in zip(dtypes, _layer_masks(k)):
         nxt = [[] for _ in range(k)]
         for start in range(0, len(subsets), _LAYER_CHUNK):
             bits = (subsets[start:start + _LAYER_CHUNK] & weights).astype(bool)
             width = bits.shape[1]
             counts = np.count_nonzero(bits, axis=1).tolist()
-            block = np.zeros(bits.shape, dtype=np.uint64)
+            block = np.zeros(bits.shape, dtype=dtype)
             block[bits] = np.concatenate([seg for row, c in zip(layer, counts) for seg in _take(row, c)])
-            free, sums = ~bits, buf[:width]
+            free, sums = ~bits, buf.view(dtype)[:width]
             for w, vs in enumerate(preds):
                 if counts[w] == width:
                     continue

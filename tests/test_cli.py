@@ -973,3 +973,38 @@ class TestScripts:
         res = run_cli(*args, entry=("-W", "error::RuntimeWarning", str(path)))
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[0] == first_line
+
+    def test_bench_pairs_alternates_and_summarises(self, tmp_path):
+        # Two stand-in checkouts whose perfbench/run.py writes a result file as
+        # the real one does, and logs which side ran.
+        fake = (
+            "import json, pathlib, sys\n"
+            "w, seed = sys.argv[sys.argv.index('--workload') + 1], int(sys.argv[sys.argv.index('--seed') + 1])\n"
+            "with open({log!r}, 'a') as f: f.write('{side}\\n')\n"
+            "wall, rss = seed + {extra}, 31.0 - {extra}\n"
+            "work = pathlib.Path('.perfbench_work'); work.mkdir(exist_ok=True)\n"
+            "(work / f'result-{{w}}-seed{{seed}}-trace0.json').write_text(json.dumps({{\n"
+            "    'correct': True, 'attempted': 1, 'failed': 0, 'metrics': {{\n"
+            "        'wall_s': {{'value': wall, 'unit': 's'}}, 'peak_rss_mb': {{'value': rss, 'unit': 'MB'}}}},\n"
+            "    'env': {{'python': '3.x', 'numpy': '2.x'}}, 'processes': [['exact:dp', 0, wall, 0, 0, 0, rss]]}}))\n"
+        )
+        log = tmp_path / "order.log"
+        for side, extra in (("parent", 0), ("change", 1)):
+            (tmp_path / side / "perfbench").mkdir(parents=True)
+            run_py = tmp_path / side / "perfbench" / "run.py"
+            run_py.write_text(fake.format(log=str(log), side=side, extra=extra), encoding="utf-8")
+        out = tmp_path / "pairs.json"
+        res = run_cli("--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                      "--workload", "exact-n18", "--seeds", "1", "2", "3", "--seconds", "1", "--out", str(out),
+                      entry=(str(SRC.parent / "scripts" / "bench_pairs.py"),))
+        assert res.returncode == 0, res.stderr
+        assert log.read_text().split() == ["parent", "change", "change", "parent", "parent", "change"]
+        report = json.loads(out.read_text())
+        assert report["seeds"] == [1, 2, 3] and (report["python"], report["numpy"]) == ("3.x", "2.x")
+        assert [p["first"] for p in report["workloads"]["exact-n18"]["pairs"]] == ["parent", "change", "parent"]
+        assert report["workloads"]["exact-n18"]["pairs"][1]["change"]["rss_mb_by_label"] == {"exact:dp": 30.0}
+        summary = report["workloads"]["exact-n18"]["summary"]
+        assert summary["wall_s"]["parent"] == {"median": 2, "q1": 1.5, "q3": 2.5, "iqr": 1.0}
+        assert summary["wall_s"]["change"]["median"] == 3
+        assert (summary["wall_s"]["change_higher"], summary["wall_s"]["change_lower"]) == (3, 0)
+        assert (summary["peak_rss_mb"]["change_higher"], summary["peak_rss_mb"]["change_lower"]) == (0, 3)

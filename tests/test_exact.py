@@ -85,7 +85,9 @@ class TestHamDp:
         assert ham_dp(build_digraph(3, [(1, 2), (2, 3)])) == 0
 
     def test_complete_digraph_factorials(self):
-        for n in range(2, 17):
+        # K18's layer 13 holds 12! in every entry, the most a uint32 layer
+        # holds; K19's layer 14 holds 13!, past 2^32, over two chunks.
+        for n in range(2, 20):
             assert ham_dp(gen_family("complete", n, "symmetric-digraph")) == math.factorial(n - 1)
 
     def test_size_cap(self):
@@ -114,20 +116,21 @@ class TestHamDp:
                     assert exact._ham_dp_residue(g, p) == want % p
 
     def test_prime_pass_reduces_every_layer(self):
-        # Unreduced, this graph's layer entries pass 5 from L = 5 and 101 from L = 8.
-        g = gen_gnp(14, 0.5, 3, "digraph")
-        want = ham_dp(g)
-        k = g.n - 1
-        for p in (5, 101):
-            layers = 0
-            for size, layer in enumerate(exact._ham_dp_layers(g, p), 1):
-                assert len(layer) == k
-                for row in map(np.concatenate, layer):
-                    assert len(row) == math.comb(k - 1, size - 1)
-                    assert int(row.max()) < p
-                layers += 1
-            assert layers == k
-            assert exact._ham_dp_residue(g, p) == want % p
+        # Unreduced, the n = 14 draw's layer entries pass 5 from L = 5 and 101
+        # from L = 8; the n = 17 draw's layers 6-12 are uint32.
+        for g in (gen_gnp(14, 0.5, 3, "digraph"), gen_gnp(17, 0.5, 3, "digraph")):
+            want = ham_dp(g)
+            k = g.n - 1
+            for p in (5, 101, exact._PRIME):
+                layers = 0
+                for size, layer in enumerate(exact._ham_dp_layers(g, p), 1):
+                    assert len(layer) == k
+                    for row in map(np.concatenate, layer):
+                        assert len(row) == math.comb(k - 1, size - 1)
+                        assert int(row.max()) < p
+                    layers += 1
+                assert layers == k
+                assert exact._ham_dp_residue(g, p) == want % p
 
     def test_layers_count_paths(self):
         # Row w of layer L: the paths from vertex 1 through exactly S that end
@@ -162,12 +165,13 @@ class TestHamDp:
                 assert exact._ham_dp_residue(g, p) == count % p
 
     def test_layers_stream_in_memory(self):
-        # Only about one layer and one chunk are alive: the largest layer at
-        # n = 18 holds 17 x C(16, 8) uint64 entries (1.67 MiB) and a chunk's
-        # block 17 x 4096 (0.53 MiB).  This kernel peaks at ~2.78 MiB here
-        # (numpy 2.4); one that keeps the last chunk's arrays bound while the
-        # next chunk allocates peaked at ~3.12 MiB, and one that keeps two
-        # whole layers at ~5.2 MiB.
+        # Only about one layer and one chunk are alive: at n = 18 the largest
+        # layer, L = 9, holds 17 x C(16, 8) entries and a chunk's block
+        # 17 x 4096, both uint32 (0.83 and 0.27 MiB).  With the chunk's masks
+        # this kernel peaks at ~1.50 MiB here (numpy 2.4).  In uint64 it
+        # peaked at ~2.78 MiB, one that also keeps the last chunk's arrays
+        # bound while the next chunk allocates at ~3.12 MiB, and one that
+        # also keeps two whole layers at ~5.2 MiB.
         g = gen_gnp(18, 0.5, 3, "digraph")
         ham_dp(g)  # numpy's own first-call allocations stay outside the trace
         tracemalloc.start()
@@ -176,7 +180,16 @@ class TestHamDp:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.95 * 2**20, peak
+        assert peak < 1.7 * 2**20, peak
+
+    @pytest.mark.parametrize(("n", "narrow"), [(13, ()), (18, range(6, 14)), (19, range(6, 14))])
+    def test_layer_widths(self, n, narrow):
+        # Layer L is uint32 when (L-1)! < 2^32 and layer L-1 spans more than
+        # one 4096-subset chunk, and uint64 otherwise: the chunk rule binds at
+        # n = 13 and 18, and at n = 19 the factorial rule keeps layer 14 wide.
+        g = gen_gnp(n, 0.5, 3, "digraph")
+        got = [{seg.dtype for row in layer for seg in row} for layer in exact._ham_dp_layers(g, 0)]
+        assert got == [{np.dtype(np.uint32 if size in narrow else np.uint64)} for size in range(1, n)]
 
     def test_chunk_blocks_die_before_the_next_allocates(self, monkeypatch):
         # Each chunk's k x chunk block comes from numpy.zeros; every earlier
@@ -278,6 +291,14 @@ class TestSmallCounters:
     def test_pure_equals_numpy_kernel(self, g):
         assert exact._ham_dp_small(g) == exact._from_residues(g, exact._ham_dp_residue)
         assert exact._permanent_small(g) == exact._from_residues(g, exact._permanent_residue)
+
+    @pytest.mark.parametrize("kind", ["digraph", "symmetric-digraph"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_pure_equals_narrowed_kernel(self, kind, seed):
+        # At n = 16 the kernel builds layers 7-10 in uint32; no selftest
+        # count, at n = 13, reaches a uint32 layer.
+        g = gen_gnp(16, 0.5, seed, kind)
+        assert exact._ham_dp_small(g) == exact._from_residues(g, exact._ham_dp_residue)
 
     @pytest.mark.parametrize("n", range(exact.SMALL_N - 1, exact.SMALL_N + 3))
     def test_complete_digraph_on_both_paths(self, n):
