@@ -16,7 +16,7 @@ Rational bounds are exact; only bregman needs floats, kept as a natural-log
 upper value where every term is rounded up by a relative guard of 1e-13 (well
 under the documented 1e-12 budget), so exp(log_upper) >= the true bound.
 ``Fraction`` loads only where a rational is built, so the Bregman cap that
-bounds an exact count loads neither ``fractions`` nor ``decimal``.
+bounds an exact permanent loads neither ``fractions`` nor ``decimal``.
 """
 from __future__ import annotations
 

@@ -12,14 +12,14 @@ including the modules that ``_COMMANDS`` lists beside each handler and loads
 first: the hamb modules that a command runs whatever its input (and
 ``hamb.exact`` for every ``compare``), with numpy for ``estimate`` and
 ``selftest``.  A module that only some inputs need loads where it is used,
-inside the clock: numpy and ``hamb.bounds`` for an exact count above n = 12,
-``hamb.exact`` for the count that ``bounds`` prints up to n = 16, ``json`` for
-``--json``, and for a file digest CPython's built-in SHA-256 (``hashlib``,
-with OpenSSL, only where the interpreter lacks it).  ``fractions`` loads
-inside the clock too, where a command first builds a rational: ``estimate``
-builds its report's after its trials.  Every seeded draw, the
-estimator's trials included, comes from :mod:`hamb.pcg`, so no command loads
-``numpy.random``; ``gen`` loads no numpy at all.  The parser holds every
+inside the clock: numpy for an exact count above n = 12, and ``hamb.bounds``
+for a permanent there, ``hamb.exact`` for the count that ``bounds`` prints up
+to n = 16, ``json`` for ``--json``, and for a file digest CPython's built-in
+SHA-256 (``hashlib``, with OpenSSL, only where the interpreter lacks it).
+``fractions`` loads inside the clock too, where a command first builds a
+rational: ``estimate`` builds its report's after its trials.  Every seeded
+draw, the estimator's trials included, comes from :mod:`hamb.pcg`, so no
+command loads ``numpy.random``; ``gen`` loads no numpy at all.  The parser holds every
 subcommand but only the arguments of the one it runs.  A process, which enters
 through :func:`run`, freezes the garbage collector before it exits and runs
 numpy with one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is set.

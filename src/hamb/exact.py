@@ -17,26 +17,25 @@ the permanent places the rows one at a time, and its lanes count the ways the
 rows placed so far can take exactly a set of columns.  Both share the lane
 widths and masks of ``_lanes``.
 
-Above ``SMALL_N`` they are numpy kernels in fixed-width integers.
+Above ``SMALL_N`` they are numpy kernels.
 The dynamic program fills one popcount layer of (subset, endpoint) states at a
 time, and stores for each endpoint only the subsets that contain it, so no
 state is a structural zero: half the entries of a full endpoint-by-subset
 table.  It builds the next layer a chunk of subsets at a time by adding the
 rows of each endpoint's in-neighbours, and frees each layer as it reads it, so
-about one layer is alive at a time; the permanent is Ryser's
-inclusion-exclusion over column subsets, also taken a chunk of subsets at a
-time.  Both run once in wrapping fixed-width arithmetic, which yields the
-result modulo 2^64: the permanent in ``uint64``, the dynamic program in
-``uint64`` or, on a layer whose entries are known to fit, in ``uint32``
-(``_ham_dp_layers`` gives the rule).  A Hamiltonian cycle is a permutation, so
-count <= permanent <= the Bregman bound of :mod:`hamb.bounds`, and whenever
-that bound's integer cap is below 2^64 the residue is the result.  Above it,
-each kernel runs again modulo one prime below 2^49, reducing after every
-step, and the two residues combine by CRT.  No step wraps in the prime pass:
-the dynamic program adds at most 23 residues, and the permanent multiplies a
-residue by a row sum of at most 24 and sums at most 2^12 residues at once.
-For n <= 24 one prime is enough: no 0/1 matrix's cap exceeds 24! < 2^80, and
-2^64 times the prime is about 2^113.
+about one layer is alive at a time.  Each layer is ``uint32``, ``uint64`` or
+Python integers, wide enough for every entry it can hold (``_ham_dp_layers``
+gives the rule), so no layer wraps and one pass is exact.
+The permanent is Ryser's inclusion-exclusion over column subsets, also taken a
+chunk of subsets at a time, whose products wrap in ``uint64`` and so yield the
+result modulo 2^64.  It is at most the Bregman bound of :mod:`hamb.bounds`,
+and whenever that bound's integer cap is below 2^64 the residue is the
+result.  Above it, the kernel runs again modulo one prime below 2^49,
+reducing after every product, and the two residues combine by CRT.  No step
+wraps in the prime pass: it multiplies a residue by a row sum of at most 24
+and sums at most 2^12 residues at once.  For n <= 24 one prime is enough: no
+0/1 matrix's cap exceeds 24! < 2^80, and 2^64 times the prime is about
+2^113.
 
 ``estimator_expectation`` walks every branch of an estimator's random
 decision tree and returns the exact rational expectation, which must equal
@@ -47,7 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from .errors import GraphSizeError
@@ -65,7 +64,7 @@ DP_MAX_N = 24
 EXPECTATION_MAX_N = 8
 # ham_dp and permanent_ryser run in plain Python up to this n.
 SMALL_N = 12
-# The prime below 2^49 for the residue pass past 2^64.
+# The prime below 2^49 for the permanent's residue pass past 2^64.
 _PRIME = 2**49 - 81
 # permanent_ryser takes 2^_CHUNK_BITS column subsets per chunk.
 _CHUNK_BITS = 13
@@ -114,7 +113,7 @@ def ham_dp(m: ContractedMatrix) -> int:
         return m.rows[0] & 1
     if n <= SMALL_N:
         return _ham_dp_small(m)
-    return _from_residues(m, _ham_dp_residue)
+    return _ham_dp_numpy(m) if all(m.rows) else 0  # a vertex with no out-arc closes no cycle
 
 
 def permanent_ryser(m: ContractedMatrix) -> int:
@@ -131,7 +130,13 @@ def permanent_ryser(m: ContractedMatrix) -> int:
         raise GraphSizeError(f"permanent_ryser supports n <= {DP_MAX_N} (2^n subsets); got n={n}")
     if n <= SMALL_N:
         return _permanent_small(m)
-    return _from_residues(m, _permanent_residue)
+    from .bounds import bregman_bound
+
+    cap = bregman_bound(row_sums(m)).integer_cap
+    count = _permanent_residue(m, 0) if cap else 0
+    if cap >> 64:
+        count += (_permanent_residue(m, _PRIME) - count) * pow(1 << 64, -1, _PRIME) % _PRIME << 64
+    return count
 
 
 @functools.cache  # k <= SMALL_N
@@ -184,39 +189,21 @@ def _permanent_small(m: ContractedMatrix) -> int:
     return f >> bits * ((1 << n) - 1)
 
 
-def _from_residues(m: ContractedMatrix, residue: Callable[[ContractedMatrix, int], int]) -> int:
-    """The exact value of a count that ``m``'s Bregman cap bounds.
-
-    ``residue(m, 0)`` is the count modulo 2^64 and ``residue(m, p)`` the count
-    modulo p.  Hamiltonian cycles are permutations with no zero entry, so
-    count <= permanent <= cap < 2^64 * ``_PRIME``.  No pass runs when a zero
-    row pins the cap to 0, and the CRT pass modulo ``_PRIME`` runs only when
-    the cap reaches 2^64.
-    """
-    from .bounds import bregman_bound
-
-    cap = bregman_bound(row_sums(m)).integer_cap
-    count = residue(m, 0) if cap else 0
-    if cap >> 64:
-        count += (residue(m, _PRIME) - count) * pow(1 << 64, -1, _PRIME) % _PRIME << 64
-    return count
-
-
-def _ham_dp_residue(m: ContractedMatrix, p: int) -> int:
-    """Hamiltonian cycles of ``m`` (n >= 2) modulo p, or modulo 2^64 if p = 0.
+def _ham_dp_numpy(m: ContractedMatrix) -> int:
+    """Hamiltonian cycles of ``m`` (n >= 2) from the numpy subset DP.
 
     The last layer of ``_ham_dp_layers`` holds, for each endpoint w, the paths
     from vertex 1 through every other vertex that end at w; those whose w has
     the arc back to vertex 1 close into cycles.
     """
     rows = m.rows
-    for layer in _ham_dp_layers(m, p):
+    for layer in _ham_dp_layers(m):
         pass
-    return sum(int(layer[v][0][0]) for v in range(m.n - 1) if rows[v + 1] & 1) % (p or 1 << 64)
+    return sum(int(layer[v][0][0]) for v in range(m.n - 1) if rows[v + 1] & 1)
 
 
-def _ham_dp_layers(m: ContractedMatrix, p: int) -> Iterator[list[list[np.ndarray]]]:
-    """The popcount layers L = 1..n-1 of the subset DP, modulo p (2^64 if 0).
+def _ham_dp_layers(m: ContractedMatrix) -> Iterator[list[list[np.ndarray]]]:
+    """The popcount layers L = 1..n-1 of the subset DP.
 
     Vertex 1 is the start, and vertices 2..n are bits 0..k-1 of a subset.
     Layer L has k rows: row w has one entry per L-subset S that contains w,
@@ -231,7 +218,7 @@ def _ham_dp_layers(m: ContractedMatrix, p: int) -> Iterator[list[list[np.ndarray
     - add: for each w, the rows of w's in-neighbours sum to the paths that
       extend to w from each T, in one reused buffer;
     - compress: T -> T + {w} keeps the order of the T without w, so their
-      sums, reduced modulo p, are the next segment of row w of layer L.
+      sums are the next segment of row w of layer L.
 
     Each row of layer L-1 is read, and each row of layer L written, strictly
     in order, so a segment is freed once it has been read: what is alive is
@@ -242,18 +229,23 @@ def _ham_dp_layers(m: ContractedMatrix, p: int) -> Iterator[list[list[np.ndarray
     or while a layer is yielded, would be a second chunk alive, and the
     process's peak RSS would hold both.
 
-    Layer L (its segments, the chunk's block and the sums) is ``uint32`` when
-    (L-1)! < 2^32 (L <= 13) and layer L-1 spans more than one chunk, and
-    ``uint64`` otherwise.  An entry of layer L counts orderings of the L-1
-    vertices of S other than w, so it is at most (L-1)!; so is each sum of
-    the add step, which counts the paths through its T that end at an
-    in-neighbour of w, and in a prime pass a residue never exceeds its count.
-    Such a layer never wraps and takes half the bytes, and most of the middle
-    layers, which set the peak, are of this kind.  A layer built from one
-    chunk stays ``uint64``, which covers every layer for n <= 15: it would
-    save less than the numpy code pages that the ``uint32`` loops map into
-    the process (with every layer narrowed, an n = 13 count peaked ~0.03 MB
-    higher).
+    An entry of layer L counts orderings of the L-1 vertices of S other than
+    w, so it is at most (L-1)!; so is each sum of the add step, which counts
+    the paths through its T that end at an in-neighbour of w.  Layer L (its
+    segments, the chunk's block and the sums) therefore takes one of three
+    widths, and no entry wraps:
+
+    - ``uint32`` when (L-1)! < 2^32 (L <= 13) and layer L-1 spans more than
+      one chunk.  It takes half the bytes of ``uint64``, and most of the
+      middle layers, which set the peak, are of this kind.  A layer built
+      from one chunk stays ``uint64``, which covers every layer for n <= 15:
+      it would save less than the numpy code pages that the ``uint32`` loops
+      map into the process (with every layer narrowed, an n = 13 count
+      peaked ~0.03 MB higher);
+    - ``uint64`` otherwise while (L-1)! < 2^64 (L <= 21);
+    - ``object``, exact Python integers, above that: layers 22 and 23, at
+      n = 23 and 24, which hold at most 23 x C(22, 21) = 506 entries.  Their
+      sums cannot view the reused buffer, so each chunk takes a new array.
     """
     import numpy as np
 
@@ -263,10 +255,10 @@ def _ham_dp_layers(m: ContractedMatrix, p: int) -> Iterator[list[list[np.ndarray
     layer = [[np.array([rows[0] >> w + 1 & 1], dtype=np.uint64)] for w in range(k)]
     yield layer
     weights = (1 << np.arange(k, dtype=np.int32))[:, None]
-    buf, modulus = np.empty(_LAYER_CHUNK, dtype=np.uint64), np.uint64(p)
+    buf = np.empty(_LAYER_CHUNK, dtype=np.uint64)
     # Layer L = size + 1 is built from the C(k, size) subsets of size `size`.
-    dtypes = [np.uint32 if math.comb(k, size) > _LAYER_CHUNK and math.factorial(size) < 1 << 32 else np.uint64
-              for size in range(1, k)]
+    dtypes = [np.uint32 if math.comb(k, size) > _LAYER_CHUNK and math.factorial(size) < 1 << 32
+              else np.uint64 if math.factorial(size) < 1 << 64 else object for size in range(1, k)]
     for dtype, subsets in zip(dtypes, _layer_masks(k)):
         nxt = [[] for _ in range(k)]
         for start in range(0, len(subsets), _LAYER_CHUNK):
@@ -275,18 +267,15 @@ def _ham_dp_layers(m: ContractedMatrix, p: int) -> Iterator[list[list[np.ndarray
             counts = np.count_nonzero(bits, axis=1).tolist()
             block = np.zeros(bits.shape, dtype=dtype)
             block[bits] = np.concatenate([seg for row, c in zip(layer, counts) for seg in _take(row, c)])
-            free, sums = ~bits, buf.view(dtype)[:width]
+            free, sums = ~bits, np.empty(width, dtype=object) if dtype is object else buf.view(dtype)[:width]
             for w, vs in enumerate(preds):
                 if counts[w] == width:
                     continue
                 sums[:] = block[vs[0]] if vs else 0
                 for v in vs[1:]:
                     sums += block[v]
-                kept = sums[free[w]]
-                if p:
-                    kept %= modulus
-                nxt[w].append(kept)
-            del bits, block, free, kept
+                nxt[w].append(sums[free[w]])
+            del bits, block, free, sums
         layer = nxt
         yield layer
 

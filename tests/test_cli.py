@@ -836,7 +836,7 @@ class TestLazyImports:
         assert loaded == dict.fromkeys(absent, "False")
 
     # Digests come from CPython's built-in SHA-256, so no command loads
-    # OpenSSL's _hashlib (~3.5 MB of RSS); an exact count needs only the
+    # OpenSSL's _hashlib (~3.5 MB of RSS); an exact permanent needs only the
     # Bregman cap, so it loads no fractions (nor the decimal that it imports).
     @pytest.mark.parametrize(
         "argv, absent",
@@ -857,6 +857,16 @@ class TestLazyImports:
         assert res.returncode == 0, res.stderr
         loaded = dict(zip(("numpy",) + absent, res.stdout.splitlines()[-1].split()))
         assert loaded == {"numpy": "True", **dict.fromkeys(absent, "False")}
+
+    # The numpy DP is exact in one pass; only the permanent past n = 12 reads
+    # the Bregman cap, to decide on its prime pass.
+    @pytest.mark.parametrize("method, bounds", [("dp", "False"), ("permanent", "True")])
+    def test_only_the_numpy_permanent_loads_bounds(self, tmp_path, method, bounds):
+        _write_inputs(tmp_path)
+        res = run_cli("exact", "--method", method, "--input", "k13.txt", cwd=tmp_path,
+                      entry=("-c", _REPORT_MODULE.format(("numpy", "hamb.bounds"))))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1].split() == ["True", bounds]
 
     def test_package_root_binds_nothing(self):
         # Each public name is imported from its module; the root loads none.

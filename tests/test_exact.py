@@ -94,43 +94,24 @@ class TestHamDp:
         with pytest.raises(GraphSizeError, match="24"):
             ham_dp(build_digraph(25, []))
 
+    def test_zero_row_runs_no_kernel(self, monkeypatch):
+        # A vertex with no out-arc closes no cycle, so no layer is built.
+        g = gen_gnp(14, 0.5, 3, "digraph")
+        monkeypatch.setattr(exact, "_ham_dp_numpy", None)
+        assert ham_dp(DiGraph(14, (*g.rows[:4], 0, *g.rows[5:]))) == 0
+
     def test_matches_bruteforce_exhaustively_to_n4(self):
         # ham_dp takes the pure path here; the second leg runs the numpy kernel.
         for n in (1, 2, 3, 4):
             for g in all_digraphs(n):
                 want = ham_bruteforce(g)
                 assert ham_dp(g) == want
-                assert n == 1 or exact._from_residues(g, exact._ham_dp_residue) == want
+                assert n == 1 or exact._ham_dp_numpy(g) == want
 
     @settings(max_examples=60, deadline=None)
     @given(digraphs(max_n=7))
     def test_matches_bruteforce(self, g):
         assert ham_dp(g) == ham_bruteforce(g)
-
-    def test_prime_pass_matches_bruteforce(self):
-        # Counts reach 6 (K4), so each of p = 2, 3, 5 reduces some of them.
-        for n in (2, 3, 4):
-            for g in all_digraphs(n):
-                want = ham_bruteforce(g)
-                for p in (2, 3, 5):
-                    assert exact._ham_dp_residue(g, p) == want % p
-
-    def test_prime_pass_reduces_every_layer(self):
-        # Unreduced, the n = 14 draw's layer entries pass 5 from L = 5 and 101
-        # from L = 8; the n = 17 draw's layers 6-12 are uint32.
-        for g in (gen_gnp(14, 0.5, 3, "digraph"), gen_gnp(17, 0.5, 3, "digraph")):
-            want = ham_dp(g)
-            k = g.n - 1
-            for p in (5, 101, exact._PRIME):
-                layers = 0
-                for size, layer in enumerate(exact._ham_dp_layers(g, p), 1):
-                    assert len(layer) == k
-                    for row in map(np.concatenate, layer):
-                        assert len(row) == math.comb(k - 1, size - 1)
-                        assert int(row.max()) < p
-                    layers += 1
-                assert layers == k
-                assert exact._ham_dp_residue(g, p) == want % p
 
     def test_layers_count_paths(self):
         # Row w of layer L: the paths from vertex 1 through exactly S that end
@@ -147,7 +128,7 @@ class TestHamDp:
                 total += all(g.rows[a + 1] >> b + 1 & 1 for a, b in zip(walk, walk[1:]))
             return total
 
-        for size, layer in enumerate(exact._ham_dp_layers(g, 0), 1):
+        for size, layer in enumerate(exact._ham_dp_layers(g), 1):
             subsets = sorted(s for s in range(1 << k) if s.bit_count() == size)
             for w in range(k):
                 assert np.concatenate(layer[w]).tolist() == [paths(s, w) for s in subsets if s >> w & 1]
@@ -155,14 +136,12 @@ class TestHamDp:
     @pytest.mark.parametrize("chunk", [1, 7, 100])
     def test_small_chunks_cross_segment_boundaries(self, monkeypatch, chunk):
         # Chunks that split the layers' segments at every offset must give the
-        # counts and residues of the 4096-subset chunks and the Python DP.
+        # counts of the 4096-subset chunks and the Python DP.
         graphs = [gen_gnp(13, 0.6, 1, "digraph"), gen_gnp(14, 0.5, 3, "digraph")]
         want = [exact._ham_dp_small(g) for g in graphs]
         monkeypatch.setattr(exact, "_LAYER_CHUNK", chunk)
         for g, count in zip(graphs, want):
             assert ham_dp(g) == count
-            for p in (5, 101):
-                assert exact._ham_dp_residue(g, p) == count % p
 
     def test_layers_stream_in_memory(self):
         # Only about one layer and one chunk are alive: at n = 18 the largest
@@ -185,11 +164,31 @@ class TestHamDp:
     @pytest.mark.parametrize(("n", "narrow"), [(13, ()), (18, range(6, 14)), (19, range(6, 14))])
     def test_layer_widths(self, n, narrow):
         # Layer L is uint32 when (L-1)! < 2^32 and layer L-1 spans more than
-        # one 4096-subset chunk, and uint64 otherwise: the chunk rule binds at
-        # n = 13 and 18, and at n = 19 the factorial rule keeps layer 14 wide.
+        # one 4096-subset chunk, and uint64 otherwise up to n = 22: the chunk
+        # rule binds at n = 13 and 18, and at n = 19 the factorial rule keeps
+        # layer 14 wide.
         g = gen_gnp(n, 0.5, 3, "digraph")
-        got = [{seg.dtype for row in layer for seg in row} for layer in exact._ham_dp_layers(g, 0)]
+        got = [{seg.dtype for row in layer for seg in row} for layer in exact._ham_dp_layers(g)]
         assert got == [{np.dtype(np.uint32 if size in narrow else np.uint64)} for size in range(1, n)]
+
+    def test_k24_less_one_arc_is_exact_in_one_pass(self, monkeypatch):
+        # 22! of K24's 23! cycles take the arc 2 -> 3.  Without it, a layer's
+        # entries are not all equal, as K24's are.  Layers 22-23 hold up to
+        # 21! and 22!, past 2^64, as Python integers; a wrapping add would warn.
+        g = build_digraph(24, [(u, v) for u in range(1, 25) for v in range(1, 25) if u != v and (u, v) != (2, 3)])
+        widths, layers = [], exact._ham_dp_layers
+
+        def recorded(m):
+            for layer in layers(m):
+                widths.append({seg.dtype for row in layer for seg in row})
+                yield layer
+
+        monkeypatch.setattr(exact, "_ham_dp_layers", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ham_dp(g) == math.factorial(23) - math.factorial(22)
+        assert widths == [{np.dtype(np.uint32 if size in range(5, 14) else object if size >= 22 else np.uint64)}
+                          for size in range(1, 24)]
 
     def test_chunk_blocks_die_before_the_next_allocates(self, monkeypatch):
         # Each chunk's k x chunk block comes from numpy.zeros; every earlier
@@ -208,7 +207,7 @@ class TestHamDp:
         g = gen_gnp(15, 0.5, 3, "digraph")
         want = exact._ham_dp_small(g)
         monkeypatch.setattr(np, "zeros", tracked)
-        assert exact._ham_dp_residue(g, 0) == want
+        assert exact._ham_dp_numpy(g) == want
         assert len(blocks) >= g.n - 2
 
     def test_layer_masks_are_ascending_layers(self):
@@ -221,13 +220,14 @@ class TestPermanent:
     def test_matches_permutation_sum_exhaustively_to_n4(self):
         # Every 0/1 matrix to n = 3, diagonal included as a ContractedMatrix
         # may hold it, and every digraph on 4 vertices.  permanent_ryser takes
-        # the pure path here; the second leg runs the numpy kernel.
+        # the pure path here; the second leg runs the numpy kernel, whose
+        # residue modulo 2^64 is the permanent at this size.
         matrices = [ContractedMatrix(n, tuple(bits >> n * i & (1 << n) - 1 for i in range(n)))
                     for n in (1, 2, 3) for bits in range(1 << n * n)]
         for m in (*matrices, *all_digraphs(4)):
             want = permanent_by_permutation_sum(m)
             assert permanent_ryser(m) == want, m
-            assert exact._from_residues(m, exact._permanent_residue) == want, m
+            assert exact._permanent_residue(m, 0) == want, m
 
     def test_all_ones_3x3(self):
         assert permanent_ryser(ContractedMatrix(3, (0b111,) * 3)) == 6
@@ -289,8 +289,8 @@ class TestSmallCounters:
     @settings(max_examples=40, deadline=None)
     @given(digraphs(min_n=5, max_n=12))
     def test_pure_equals_numpy_kernel(self, g):
-        assert exact._ham_dp_small(g) == exact._from_residues(g, exact._ham_dp_residue)
-        assert exact._permanent_small(g) == exact._from_residues(g, exact._permanent_residue)
+        assert exact._ham_dp_small(g) == exact._ham_dp_numpy(g)
+        assert exact._permanent_small(g) == exact._permanent_residue(g, 0)
 
     @pytest.mark.parametrize("kind", ["digraph", "symmetric-digraph"])
     @pytest.mark.parametrize("seed", [1, 2])
@@ -298,24 +298,24 @@ class TestSmallCounters:
         # At n = 16 the kernel builds layers 7-10 in uint32; no selftest
         # count, at n = 13, reaches a uint32 layer.
         g = gen_gnp(16, 0.5, seed, kind)
-        assert exact._ham_dp_small(g) == exact._from_residues(g, exact._ham_dp_residue)
+        assert exact._ham_dp_small(g) == exact._ham_dp_numpy(g)
 
     @pytest.mark.parametrize("n", range(exact.SMALL_N - 1, exact.SMALL_N + 3))
     def test_complete_digraph_on_both_paths(self, n):
         g = gen_family("complete", n, "symmetric-digraph")
         derangements = sum((-1) ** i * math.factorial(n) // math.factorial(i) for i in range(n + 1))
-        assert exact._ham_dp_small(g) == exact._from_residues(g, exact._ham_dp_residue) == math.factorial(n - 1)
-        assert exact._permanent_small(g) == exact._from_residues(g, exact._permanent_residue) == derangements
+        assert exact._ham_dp_small(g) == exact._ham_dp_numpy(g) == math.factorial(n - 1)
+        assert exact._permanent_small(g) == exact._permanent_residue(g, 0) == derangements
 
 
 def test_selftest_runs_numpy_kernels(monkeypatch):
     from hamb.selftest import run_selftest
 
-    calls = {name: 0 for name in ("_ham_dp_residue", "_permanent_residue")}
+    calls = {name: 0 for name in ("_ham_dp_numpy", "_permanent_residue")}
     for name in calls:
-        def counted(m, p, kernel=getattr(exact, name), name=name):
+        def counted(*args, kernel=getattr(exact, name), name=name):
             calls[name] += 1
-            return kernel(m, p)
+            return kernel(*args)
         monkeypatch.setattr(exact, name, counted)
     assert run_selftest(emit=lambda line: None)
     assert all(calls.values()), calls
@@ -326,11 +326,12 @@ class TestResidueArithmetic:
         p = exact._PRIME
         assert p % 2 and p < 2**49 and all(pow(a, p - 1, p) == 1 for a in (2, 3, 5, 7))
         # The all-ones n x n matrix has the largest Bregman cap, n! rounded up,
-        # so one pass modulo 2^64 and one modulo p cover every count to DP_MAX_N.
+        # so one pass modulo 2^64 and one modulo p cover every permanent to
+        # DP_MAX_N.
         cap = bregman_bound((exact.DP_MAX_N,) * exact.DP_MAX_N).integer_cap
         assert math.factorial(exact.DP_MAX_N) <= cap < 2**80 < 2**64 * p
 
-    @pytest.mark.parametrize("n", [16, 21])
+    @pytest.mark.parametrize("n", [16, 21, 23])
     def test_complete_digraph_is_exact_and_quiet(self, n):
         g = gen_family("complete", n, "symmetric-digraph")
         derangements = sum((-1) ** i * math.factorial(n) // math.factorial(i) for i in range(n + 1))
