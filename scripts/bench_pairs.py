@@ -11,9 +11,10 @@ that a drift of the machine's speed within a pair favours each side equally
 often.  The JSON holds each pair's end-to-end metrics and each side's median
 peak RSS per process label, and per workload and metric both sides' medians
 and quartiles and how many pairs read higher and lower on the change.  It
-also records the seeds, both checkouts' commits, the Python and numpy
-versions that the runs report, and ``PYTHONDONTWRITEBYTECODE``.  The file is
-rewritten after every pair, so an interrupted run keeps the pairs it took.
+also records the seeds, both checkouts' commits and ``src/hamb`` line
+counts, the Python and numpy versions that the runs report, and
+``PYTHONDONTWRITEBYTECODE``.  The file is rewritten after every pair, so an
+interrupted run keeps the pairs it took.
 """
 from __future__ import annotations
 
@@ -76,11 +77,14 @@ def summarize(pairs: list[dict]) -> dict:
 
 
 def checkout_id(checkout: Path) -> dict:
-    """The commit a checkout has out and the git tree of its ``src/`` (None outside git)."""
+    """The commit a checkout has out and the git tree of its ``src/`` (None outside git),
+    and the line count of its ``src/hamb/*.py`` (None without ``src/hamb``)."""
     def rev(name: str) -> str | None:
         done = subprocess.run(["git", "rev-parse", name], cwd=checkout, capture_output=True, text=True)
         return done.stdout.strip() if done.returncode == 0 else None
-    return {"commit": rev("HEAD"), "src_tree": rev("HEAD:src")}
+    package = checkout / "src" / "hamb"
+    lines = sum(p.read_bytes().count(b"\n") for p in package.glob("*.py")) if package.is_dir() else None
+    return {"commit": rev("HEAD"), "src_tree": rev("HEAD:src"), "src_hamb_lines": lines}
 
 
 def main() -> int:

@@ -28,17 +28,17 @@ memory.  Trial ``t`` always draws from ``trial_stream(seed, t)``, a
 ``SeedSequence(entropy=seed, spawn_key=(t,))``.
 
 ``trial_with_policy`` runs one trial in plain Python; it is the reference path,
-and ``enumerate_branches`` replays it.  ``estimate`` runs the trials in
-lockstep blocks of ``_BLOCK`` = 2048 trials instead: numpy arrays hold every
-trial's working state, each step draws for all live trials at once, and trials
-whose candidate set empties drop out of the block.  A step at which no trial
-drops out compacts nothing, and a step at which every trial expands its top
-row deletes that row by a slice.  Only the trials of non-zero value reach the
-Python aggregation; the zeros are counted.  Both kernels take the rows as
-``uint64`` masks.  The matrix kernel, which runs ``ascending`` and ``table``,
-holds each entry of a trial's working rows and column labels as one
-``uint16``, row and label a byte each (n <= 64), and finds the chosen
-candidate in the block's flat list of candidate positions.  The
+and ``enumerate_branches`` runs it once per branch of its decision tree.
+``estimate`` runs the trials in lockstep blocks of ``_BLOCK`` = 2048 trials
+instead: numpy arrays hold every trial's working state, each step draws for all
+live trials at once, and trials whose candidate set empties drop out of the
+block.  A step at which no trial drops out compacts nothing, and a step at
+which every trial expands its top row deletes that row by a slice.  Only the
+trials of non-zero value reach the Python aggregation; the zeros are counted.
+Both kernels take the rows as ``uint64`` masks.  The matrix kernel, which runs
+``ascending`` and ``table``, holds each entry of a trial's working rows and
+column labels as one ``uint16``, row and label a byte each (n <= 64), and finds
+the chosen candidate in the block's flat list of candidate positions.  The
 ``follow-path`` kernel holds a trial as its endpoint and a mask of visited
 vertices, and picks the chosen out-neighbour by broadword popcount and select.
 
@@ -179,6 +179,8 @@ def _run(g: ContractedMatrix, policy: RowOrderPolicy, choose: Callable[[list[int
     position, then where the chosen column lands after the delete: the chosen
     vertex's row.  Returns (p_factors_so_far, cycle_vertex_order_or_None);
     ``choose`` gets the candidate positions in ascending order, returns one.
+    At the last step the working matrix is 1x1 and its one entry is the
+    closing arc, so the only candidate there is the expanded position itself.
     """
     n, adj = g.n, g.rows
     rows = list(range(n))      # remaining row vertices, by position
@@ -196,14 +198,7 @@ def _run(g: ContractedMatrix, policy: RowOrderPolicy, choose: Callable[[list[int
             gpos = k - (k > gpos)
         u = rows[gpos]
         row = adj[u]
-        if m == 1:
-            closing = row >> labels[0] & 1
-            ps.append(closing)
-            if not closing:
-                return ps, None
-            succ[u] = labels[0]
-            return ps, _cycle_order(succ, n)
-        cand = [p for p in range(m) if p != gpos and row >> labels[p] & 1]
+        cand = [p for p in range(m) if (p != gpos or m == 1) and row >> labels[p] & 1]
         if not cand:
             return ps, None
         k = choose(cand)
@@ -212,7 +207,7 @@ def _run(g: ContractedMatrix, policy: RowOrderPolicy, choose: Callable[[list[int
         labels[gpos], labels[k] = labels[k], labels[gpos]
         del rows[gpos]
         del labels[gpos]
-    raise AssertionError("unreachable")
+    return ps, _cycle_order(succ, n)
 
 
 def _make_outcome(g: ContractedMatrix, ps: list[int], cycle: list[int] | None) -> TrialOutcome:
@@ -230,34 +225,15 @@ def trial_with_policy(g: ContractedMatrix, policy: RowOrderPolicy, stream: Strea
     return _make_outcome(g, ps, cycle)
 
 
-class _Probe(Exception):
-    """A replayed trial reached a choice point beyond its prefix."""
-
-    def __init__(self, width: int):
-        self.width = width
-
-
-def _replay_chooser(prefix: tuple[int, ...], denom: list[int]):
-    it = iter(prefix)
-
-    def choose(cand: list[int]) -> int:
-        try:
-            idx = next(it)
-        except StopIteration:
-            raise _Probe(len(cand)) from None
-        denom[0] *= len(cand)
-        return cand[idx]
-
-    return choose
-
-
 def enumerate_branches(g: ContractedMatrix, policy: RowOrderPolicy) -> Iterator[tuple[Fraction, TrialOutcome]]:
     """Exhaustively enumerate the estimator's random decision tree.
 
-    Yields (probability, outcome) for every branch; the probability is the
-    exact product of 1/|candidates| along the branch.  Runs the very same
-    trial code, replayed along each choice prefix, so what it enumerates is
-    what the randomized trials do.
+    Yields (probability, outcome) for every branch, in lexicographic order of
+    its choices; the probability is the exact product of 1/|candidates| along
+    the branch.  Each branch runs the very same trial code once: a prefix of
+    choices, then candidate 0 at every later step, whose siblings are pushed
+    as the prefixes still to run.  So what it enumerates is what the
+    randomized trials do.
     """
     from fractions import Fraction
 
@@ -265,13 +241,12 @@ def enumerate_branches(g: ContractedMatrix, policy: RowOrderPolicy) -> Iterator[
     stack: list[tuple[int, ...]] = [()]
     while stack:
         prefix = stack.pop()
-        denom = [1]
-        try:
-            ps, cycle = _run(g, policy, _replay_chooser(prefix, denom))
-        except _Probe as probe:
-            stack.extend(prefix + (idx,) for idx in range(probe.width - 1, -1, -1))
-            continue
-        yield Fraction(1, denom[0]), _make_outcome(g, ps, cycle)
+        picks = iter(prefix)
+        ps, cycle = _run(g, policy, lambda cand: cand[next(picks, 0)])
+        path = prefix + (0,) * (len(ps) - len(prefix))
+        for depth in range(len(prefix), len(ps)):
+            stack.extend(path[:depth] + (idx,) for idx in range(ps[depth] - 1, 0, -1))
+        yield Fraction(1, math.prod(ps)), _make_outcome(g, ps, cycle)
 
 
 # --- Lockstep kernel -------------------------------------------------------

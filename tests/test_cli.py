@@ -1003,6 +1003,11 @@ class TestScripts:
             (tmp_path / side / "perfbench").mkdir(parents=True)
             run_py = tmp_path / side / "perfbench" / "run.py"
             run_py.write_text(fake.format(log=str(log), side=side, extra=extra), encoding="utf-8")
+        package = tmp_path / "change" / "src" / "hamb"  # the parent side has no src/hamb
+        package.mkdir(parents=True)
+        (package / "a.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+        (package / "b.py").write_text("z = 3\n", encoding="utf-8")
+        (package / "notes.txt").write_text("not counted\n", encoding="utf-8")
         out = tmp_path / "pairs.json"
         res = run_cli("--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
                       "--workload", "exact-n18", "--seeds", "1", "2", "3", "--seconds", "1", "--out", str(out),
@@ -1011,6 +1016,7 @@ class TestScripts:
         assert log.read_text().split() == ["parent", "change", "change", "parent", "parent", "change"]
         report = json.loads(out.read_text())
         assert report["seeds"] == [1, 2, 3] and (report["python"], report["numpy"]) == ("3.x", "2.x")
+        assert (report["parent"]["src_hamb_lines"], report["change"]["src_hamb_lines"]) == (None, 3)
         assert [p["first"] for p in report["workloads"]["exact-n18"]["pairs"]] == ["parent", "change", "parent"]
         assert report["workloads"]["exact-n18"]["pairs"][1]["change"]["rss_mb_by_label"] == {"exact:dp": 30.0}
         summary = report["workloads"]["exact-n18"]["summary"]

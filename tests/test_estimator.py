@@ -14,6 +14,7 @@ from hamb import estimator
 from hamb.errors import PolicyError
 from hamb.estimator import (
     RowOrderPolicy,
+    TrialOutcome,
     enumerate_branches,
     estimate,
     trial_stream,
@@ -149,6 +150,33 @@ class TestBranches:
         g = gen_gnp(6, 0.5, 12, "digraph")
         for policy in (RowOrderPolicy.ascending(), RowOrderPolicy.follow_path(3)):
             assert sum(p for p, _ in enumerate_branches(g, policy)) == 1
+
+    def test_each_branch_runs_one_trial(self, monkeypatch):
+        calls = 0
+        run = estimator._run
+
+        def counting_run(*args):
+            nonlocal calls
+            calls += 1
+            return run(*args)
+
+        monkeypatch.setattr(estimator, "_run", counting_run)
+        for n in range(1, 5):
+            for i, g in enumerate(all_digraphs(n)):
+                for policy in _policies(n, i):
+                    calls = 0
+                    probs = [p for p, _ in enumerate_branches(g, policy)]
+                    assert calls == len(probs) and sum(probs) == 1, (g, policy)
+
+    def test_trial_can_end_at_the_closing_arc(self):
+        # The path 1 -> 2 -> 3 offers one arc at each draw and no arc home, so
+        # every trial ends at the last step, whose 1x1 matrix is the closing arc.
+        g = build_digraph(3, [(1, 2), (2, 3)])
+        dead = TrialOutcome(value=0, witness=None, p_factors=(1, 1, 0))
+        ones = RowOrderPolicy.from_table([[1] * 3] * 3)
+        for policy in (RowOrderPolicy.ascending(), RowOrderPolicy.follow_path(1), ones):
+            assert [trial_with_policy(g, policy, trial_stream(0, t)) for t in range(5)] == [dead] * 5
+            assert list(enumerate_branches(g, policy)) == [(1, dead)]
 
     def test_positive_branches_biject_with_cycles(self):
         g = gen_gnp(5, 0.7, 3, "symmetric-digraph")
