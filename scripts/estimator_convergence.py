@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hamb.estimator import RowOrderPolicy, estimate  # noqa: E402
 from hamb.exact import ham_dp  # noqa: E402
-from hamb.graphs import gen_gnp  # noqa: E402
+from hamb.graphs import gen_gnp, row_sums  # noqa: E402
 
 
 def main() -> int:
@@ -26,7 +26,7 @@ def main() -> int:
 
     g = gen_gnp(args.n, args.p, args.graph_seed, kind="symmetric-digraph")
     truth = ham_dp(g)
-    print(f"graph: n={g.n}, arcs={g.num_arcs}, exact count={truth}")
+    print(f"graph: n={g.n}, arcs={sum(row_sums(g))}, exact count={truth}")
 
     policies = [RowOrderPolicy.ascending(), RowOrderPolicy.follow_path(args.start)]
     checkpoints = sorted({args.trials // 100, args.trials // 10, args.trials // 3, args.trials} - {0})

@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import PolicyError
-from .graphs import ContractedMatrix, CycleWitness, check_integer
+from .graphs import ContractedMatrix, check_integer
 from .io import sha256_hex
 from .pcg import Stream, stream_words
 
@@ -130,10 +130,10 @@ class RowOrderPolicy(NamedTuple("RowOrderPolicy", [("kind", str), ("start", int 
 
 
 class TrialOutcome(NamedTuple):
-    """One estimator run: big-integer value, optional cycle, multipliers."""
+    """One estimator run: big-integer value, the cycle (1-based, from vertex 1) or None, multipliers."""
 
     value: int
-    witness: CycleWitness | None
+    witness: tuple[int, ...] | None
     p_factors: tuple[int, ...]
 
 
@@ -161,15 +161,16 @@ def _check_policy(g: ContractedMatrix, policy: RowOrderPolicy) -> None:
         raise PolicyError(f"table policy is {k}x{k} but the graph has n={g.n}")
 
 
-def _cycle_order(succ: dict[int, int], n: int) -> list[int]:
-    order = [0]
+def _cycle_order(succ: dict[int, int], n: int) -> tuple[int, ...]:
+    """The chosen arcs as one cycle of 1-based vertices from vertex 1."""
+    order = [1]
     cur = succ[0]
     while cur != 0 and len(order) <= n:
-        order.append(cur)
+        order.append(cur + 1)
         cur = succ[cur]
     if cur != 0 or len(order) != n:
         raise AssertionError("chosen arcs did not form a single full cycle")
-    return order
+    return tuple(order)
 
 
 def _run(g: ContractedMatrix, policy: RowOrderPolicy, choose: Callable[[list[int]], int]):
@@ -177,7 +178,7 @@ def _run(g: ContractedMatrix, policy: RowOrderPolicy, choose: Callable[[list[int
 
     ``ascending`` is the all-ones table.  ``follow-path`` expands the start's
     position, then where the chosen column lands after the delete: the chosen
-    vertex's row.  Returns (p_factors_so_far, cycle_vertex_order_or_None);
+    vertex's row.  Returns (p_factors_so_far, witness_or_None);
     ``choose`` gets the candidate positions in ascending order, returns one.
     At the last step the working matrix is 1x1 and its one entry is the
     closing arc, so the only candidate there is the expanded position itself.
@@ -210,19 +211,16 @@ def _run(g: ContractedMatrix, policy: RowOrderPolicy, choose: Callable[[list[int
     return ps, _cycle_order(succ, n)
 
 
-def _make_outcome(g: ContractedMatrix, ps: list[int], cycle: list[int] | None) -> TrialOutcome:
+def _make_outcome(g: ContractedMatrix, ps: list[int], witness: tuple[int, ...] | None) -> TrialOutcome:
     factors = tuple(ps) + (0,) * (g.n - len(ps))
-    witness = None
-    if cycle is not None:
-        witness = CycleWitness.canonical([v + 1 for v in cycle], directed=True)
     return TrialOutcome(value=math.prod(factors), witness=witness, p_factors=factors)
 
 
 def trial_with_policy(g: ContractedMatrix, policy: RowOrderPolicy, stream: Stream) -> TrialOutcome:
     """One randomized trial under the given row-order policy, drawing from ``stream``."""
     _check_policy(g, policy)
-    ps, cycle = _run(g, policy, lambda cand: cand[int(stream.integers(len(cand)))])
-    return _make_outcome(g, ps, cycle)
+    ps, witness = _run(g, policy, lambda cand: cand[int(stream.integers(len(cand)))])
+    return _make_outcome(g, ps, witness)
 
 
 def enumerate_branches(g: ContractedMatrix, policy: RowOrderPolicy) -> Iterator[tuple[Fraction, TrialOutcome]]:
@@ -242,11 +240,11 @@ def enumerate_branches(g: ContractedMatrix, policy: RowOrderPolicy) -> Iterator[
     while stack:
         prefix = stack.pop()
         picks = iter(prefix)
-        ps, cycle = _run(g, policy, lambda cand: cand[next(picks, 0)])
+        ps, witness = _run(g, policy, lambda cand: cand[next(picks, 0)])
         path = prefix + (0,) * (len(ps) - len(prefix))
         for depth in range(len(prefix), len(ps)):
             stack.extend(path[:depth] + (idx,) for idx in range(ps[depth] - 1, 0, -1))
-        yield Fraction(1, math.prod(ps)), _make_outcome(g, ps, cycle)
+        yield Fraction(1, math.prod(ps)), _make_outcome(g, ps, witness)
 
 
 # --- Lockstep kernel -------------------------------------------------------
@@ -414,16 +412,15 @@ def _expand(adj: np.ndarray, order: np.ndarray, u32: np.ndarray):
     return live[flat[pairs[:, 0]]], widths, redo
 
 
-def _block_values(g: ContractedMatrix, policy: RowOrderPolicy, seed: int, trials: range) -> Iterator[tuple[int, dict[int, int]]]:
+def _block_values(g: ContractedMatrix, policy: RowOrderPolicy, seed: int, trials: range) -> Iterator[dict[int, int]]:
     """The values ``trial_with_policy(g, policy, trial_stream(seed, t)).value`` in lockstep.
 
-    Yields one ``(size, values)`` per block: the block's ``size`` trials, and
-    ``values`` maps the offset of each trial whose value is not 0 to that
-    value.  Trial ``t`` runs in block ``t // _BLOCK``.  Each draw with two or
-    more candidates reads the trial's next uint32, and draws happen at steps
-    0..n-2, so every read falls in the first n - 1 uint32s: the first n // 2
-    raw words.  A rejected draw would read on; the trial is redone on the
-    scalar path instead.
+    Yields one map per block, from the offset within the block of each trial
+    whose value is not 0 to that value.  Trial ``t`` runs in block
+    ``t // _BLOCK``.  Each draw with two or more candidates reads the trial's
+    next uint32, and draws happen at steps 0..n-2, so every read falls in the
+    first n - 1 uint32s: the first n // 2 raw words.  A rejected draw would
+    read on; the trial is redone on the scalar path instead.
     """
     adj = np.array(g.rows, dtype=np.uint64)
     if policy.kind == "follow-path":
@@ -444,7 +441,7 @@ def _block_values(g: ContractedMatrix, policy: RowOrderPolicy, seed: int, trials
             value = trial_with_policy(g, policy, trial_stream(seed, first + b)).value
             if value:
                 values[b] = value
-        yield stop - first, values
+        yield values
         first = stop
 
 
@@ -461,7 +458,7 @@ def estimate(g: ContractedMatrix, policy: RowOrderPolicy, trials: int, seed: int
     check_integer(seed, "seed")
     _check_policy(g, policy)
     total = total_sq = nonzero = 0
-    for _, values in _block_values(g, policy, seed, range(trials)):
+    for values in _block_values(g, policy, seed, range(trials)):
         for value in values.values():
             total += value
             total_sq += value * value

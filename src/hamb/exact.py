@@ -1,12 +1,13 @@
 """Exact reference computations for Hamiltonian cycle counts.
 
 All counters return arbitrary-precision integers.  ``ham_bruteforce`` is the
-literal permutation-cycle sum and serves as the independent oracle for the
-subset dynamic program.  Every counter takes any ``ContractedMatrix`` and
-reads its bit rows: a ``DiGraph`` is one, and so is an ``UndiGraph``, whose
-rows are those of its doubled image, so a counter given one counts that image
-(a contracted matrix's diagonal may carry ones - those entries can only matter
-for a 1x1 matrix, since a cycle product never repeats an index).
+permutation-cycle sum, taken depth first over the paths from vertex 1, and
+serves as the independent oracle for the subset dynamic program.  Every
+counter takes any ``ContractedMatrix`` and reads its bit rows: a ``DiGraph``
+is one, and so is an ``UndiGraph``, whose rows are those of its doubled
+image, so a counter given one counts that image (a contracted matrix's
+diagonal may carry ones - those entries can only matter for a 1x1 matrix,
+since a cycle product never repeats an index).
 
 Up to n = ``SMALL_N`` (12), ``ham_dp`` and ``permanent_ryser`` run in plain
 Python, which at that size costs less than importing numpy.  Both are subset
@@ -44,7 +45,6 @@ the cycle count for any valid row-order policy.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
@@ -76,26 +76,27 @@ def ham_bruteforce(m: ContractedMatrix) -> int:
     """Count directed Hamiltonian cycles by the defining permutation sum.
 
     Sums the product a[k1,k2] a[k2,k3] ... a[kn,k1] over all orderings of the
-    remaining indices with k1 fixed to the first one; for a 1x1 matrix the
-    count is the single entry.  Limited to n <= 10.
+    remaining indices with k1 fixed to the first one, depth first: a path from
+    the first index grows by each unvisited out-neighbour, so a prefix whose
+    product is 0 is skipped, and a full path adds its closing entry.  For a
+    1x1 matrix the count is the single entry.  Limited to n <= 10.
     """
     n = m.n
     if n > BRUTE_MAX_N:
         raise GraphSizeError(f"ham_bruteforce supports n <= {BRUTE_MAX_N} (factorial enumeration); got n={n}")
-    rows = m.rows
-    if n == 1:
-        return rows[0] & 1
+    rows, full = m.rows, (1 << n) - 1
     total = 0
-    for perm in itertools.permutations(range(1, n)):
-        cur = 0
-        ok = True
-        for nxt in perm:
-            if not rows[cur] >> nxt & 1:
-                ok = False
-                break
-            cur = nxt
-        if ok and rows[cur] & 1:
-            total += 1
+    stack = [(0, 1)]  # (endpoint, visited set) of each path from index 0
+    while stack:
+        cur, seen = stack.pop()
+        if seen == full:
+            total += rows[cur] & 1
+            continue
+        nxt = rows[cur] & ~seen
+        while nxt:
+            low = nxt & -nxt
+            stack.append((low.bit_length() - 1, seen | low))
+            nxt ^= low
     return total
 
 

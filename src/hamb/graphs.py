@@ -14,7 +14,7 @@ The graph file formats live in :mod:`hamb.io`.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import GraphSizeError
 
@@ -54,9 +54,6 @@ class ContractedMatrix(NamedTuple("ContractedMatrix", [("n", int), ("rows", tupl
     __ne__ = object.__ne__  # negates __eq__; tuple's would compare values only
     __hash__ = tuple.__hash__
 
-    def matrix(self) -> list[list[int]]:
-        return [[self.rows[u] >> v & 1 for v in range(self.n)] for u in range(self.n)]
-
 
 def _graph(cls: type, n: int, rows: tuple[int, ...]):
     """A ``cls`` over ``rows`` under the vertex cap with a zero diagonal (any graph)."""
@@ -79,14 +76,6 @@ class DiGraph(ContractedMatrix):
 
     def __new__(cls, n: int, rows: tuple[int, ...]):
         return _graph(cls, n, rows)
-
-    @property
-    def num_arcs(self) -> int:
-        return sum(row.bit_count() for row in self.rows)
-
-    def has_arc(self, u: int, v: int) -> bool:
-        """Arc u -> v, 1-based labels."""
-        return bool(self.rows[u - 1] >> (v - 1) & 1)
 
     def arcs(self) -> list[tuple[int, int]]:
         """All arcs as sorted 1-based pairs."""
@@ -111,14 +100,6 @@ class UndiGraph(ContractedMatrix):
         if not is_symmetric(self):
             raise ValueError("undirected rows must be symmetric")
         return self
-
-    @property
-    def num_edges(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Edge {u, v}, 1-based labels."""
-        return bool(self.rows[u - 1] >> (v - 1) & 1)
 
     def edge_list(self) -> list[tuple[int, int]]:
         """All edges as sorted 1-based pairs (u < v)."""
@@ -199,42 +180,6 @@ def contract(m: ContractedMatrix, i: int, j: int) -> ContractedMatrix:
             row ^= (1 << i0) | (1 << j0)
         new_rows.append(_delete_bit(row, i0))
     return ContractedMatrix(m.n - 1, tuple(new_rows))
-
-
-class CycleWitness(NamedTuple):
-    """A Hamiltonian cycle in canonical form.
-
-    Directed cycles are rotated so the smallest label comes first; undirected
-    cycles are additionally oriented so the second label is smaller than the
-    last, which picks one representative out of the 2n rotations/reflections.
-    """
-
-    vertices: tuple[int, ...]
-    directed: bool
-
-    @classmethod
-    def canonical(cls, vertices: Sequence[int], directed: bool) -> "CycleWitness":
-        vs = tuple(int(v) for v in vertices)
-        if len(set(vs)) != len(vs) or not vs:
-            raise ValueError("witness vertices must be distinct and non-empty")
-        pivot = vs.index(min(vs))
-        vs = vs[pivot:] + vs[:pivot]
-        if not directed and len(vs) >= 3 and vs[1] > vs[-1]:
-            vs = (vs[0],) + tuple(reversed(vs[1:]))
-        return cls(vs, directed)
-
-    def is_cycle_of(self, g: DiGraph | UndiGraph) -> bool:
-        """True iff this is a Hamiltonian cycle of ``g``: every consecutive pair,
-        the closing one included, is set in ``g``'s rows.  A directed witness is
-        read against the rows of either kind, an ``UndiGraph``'s being those of
-        its doubled image as the counters read them; an undirected witness
-        needs an ``UndiGraph``."""
-        vs = self.vertices
-        if not (self.directed or isinstance(g, UndiGraph)):
-            return False
-        if len(vs) != g.n or set(vs) != set(range(1, g.n + 1)):
-            return False
-        return all(g.rows[u - 1] >> (v - 1) & 1 for u, v in zip(vs, vs[1:] + vs[:1]))
 
 
 def gen_gnp(n: int, p: float, seed: int, kind: str = "undirected") -> DiGraph | UndiGraph:

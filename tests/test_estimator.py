@@ -26,6 +26,12 @@ from hamb.graphs import DiGraph, build_digraph, gen_family, gen_gnp
 from conftest import all_digraphs, digraphs, run_cli, undigraphs
 
 
+def _is_witness(w, g) -> bool:
+    """``w`` is a plain tuple naming a Hamiltonian cycle of ``g``'s rows, from vertex 1."""
+    return (type(w) is tuple and w[:1] == (1,) and sorted(w) == list(range(1, g.n + 1))
+            and all(g.rows[u - 1] >> (v - 1) & 1 for u, v in zip(w, w[1:] + w[:1])))
+
+
 class TestRowOrderPolicy:
     def test_describe(self):
         assert RowOrderPolicy.ascending().describe() == "ascending"
@@ -71,14 +77,14 @@ class TestTrials:
             out = trial_with_policy(g, RowOrderPolicy.ascending(), trial_stream(1, t))
             assert out.value == 2
             assert out.p_factors == (2, 1, 1)
-            assert out.witness is not None and out.witness.is_cycle_of(g)
+            assert _is_witness(out.witness, g)
 
     def test_directed_cycle_deterministic(self):
         g = build_digraph(3, [(1, 2), (2, 3), (3, 1)])
         out = trial_with_policy(g, RowOrderPolicy.ascending(), trial_stream(0, 0))
         assert out.value == 1
         assert out.p_factors == (1, 1, 1)
-        assert out.witness.vertices == (1, 2, 3)
+        assert out.witness == (1, 2, 3)
 
     def test_isolated_vertex_always_zero(self):
         g = build_digraph(4, [(1, 2), (2, 3), (3, 1)])  # vertex 4 isolated
@@ -110,8 +116,7 @@ class TestTrials:
         for t in range(5):
             out = trial_with_policy(g, RowOrderPolicy.ascending(), trial_stream(13, t))
             if out.value > 0:
-                assert out.witness is not None
-                assert out.witness.is_cycle_of(g)
+                assert _is_witness(out.witness, g)
             else:
                 assert out.witness is None
 
@@ -168,6 +173,18 @@ class TestBranches:
                     probs = [p for p, _ in enumerate_branches(g, policy)]
                     assert calls == len(probs) and sum(probs) == 1, (g, policy)
 
+    def test_witnesses_are_vertex_tuples(self):
+        # A branch or trial of non-zero value names its cycle as a plain tuple
+        # of 1-based vertices from vertex 1; one of value 0 names none.
+        graphs = [(g, n, i) for n in range(1, 5) for i, g in enumerate(all_digraphs(n))]
+        graphs += [(gen_gnp(7, 0.6, 3, kind), 7, 3) for kind in ("undirected", "digraph")]
+        for g, n, i in graphs:
+            for policy in _policies(n, i):
+                outcomes = [out for _, out in enumerate_branches(g, policy)]
+                outcomes += [trial_with_policy(g, policy, trial_stream(i, t)) for t in range(3)]
+                for out in outcomes:
+                    assert _is_witness(out.witness, g) if out.value else out.witness is None, (g, policy, out)
+
     def test_trial_can_end_at_the_closing_arc(self):
         # The path 1 -> 2 -> 3 offers one arc at each draw and no arc home, so
         # every trial ends at the last step, whose 1x1 matrix is the closing arc.
@@ -193,7 +210,7 @@ class TestBranches:
             for prob, out in enumerate_branches(g, policy):
                 if out.value > 0:
                     assert prob == Fraction(1, out.value)
-                    assert out.witness.is_cycle_of(g)
+                    assert _is_witness(out.witness, g)
                     assert out.witness not in seen
                     seen.add(out.witness)
             assert len(seen) == count
@@ -209,13 +226,13 @@ class TestBranches:
                     for prob, out in enumerate_branches(g, RowOrderPolicy.follow_path(s)):
                         if out.value == 0:
                             continue
-                        vs = out.witness.vertices
+                        vs = out.witness
                         walk = vs[vs.index(s):] + vs[:vs.index(s)]
                         counts = 1
                         for i, v in enumerate(walk[:-1]):
-                            counts *= sum(g.has_arc(v, w) for w in range(1, n + 1) if w not in walk[:i + 1])
+                            counts *= sum(g.rows[v - 1] >> (w - 1) & 1 for w in range(1, n + 1) if w not in walk[:i + 1])
                         assert prob == Fraction(1, counts), (g, s, walk)
-                        assert out.value == counts and out.witness.is_cycle_of(g)
+                        assert out.value == counts and _is_witness(out.witness, g)
 
 
 class TestEstimate:
@@ -342,9 +359,12 @@ def _scalar_values(g, policy, seed, trials: range) -> list[int]:
 
 def _lockstep_values(g, policy, seed, trials: range):
     """Every trial's value from the lockstep blocks, zeros included, lazily."""
-    for size, values in estimator._block_values(g, policy, seed, trials):
+    first = trials.start
+    for values in estimator._block_values(g, policy, seed, trials):
+        size = min((first // estimator._BLOCK + 1) * estimator._BLOCK, trials.stop) - first
         assert all(values.values()) and set(values) <= set(range(size)), values
         yield from (values.get(b, 0) for b in range(size))
+        first += size
 
 
 LOCKSTEP_SEEDS = (0, 5, 3001, 2**40 + 7, 12 * 10**21)

@@ -73,6 +73,17 @@ class TestHamBruteforce:
         with pytest.raises(GraphSizeError, match="10"):
             ham_bruteforce(build_digraph(11, []))
 
+    def test_complete_digraph_at_the_limit(self):
+        assert ham_bruteforce(gen_family("complete", 10, "digraph")) == math.factorial(9)
+
+    def test_matches_dp_on_every_contracted_matrix_to_n3(self):
+        # Diagonal ones included (512 matrices at n = 3): a path never steps
+        # onto a vertex it has visited, so only a 1x1 matrix's diagonal counts.
+        for n in (1, 2, 3):
+            for rows in itertools.product(range(1 << n), repeat=n):
+                m = ContractedMatrix(n, rows)
+                assert ham_bruteforce(m) == ham_dp(m), m
+
 
 class TestHamDp:
     def test_symmetrized_triangle(self):
@@ -348,7 +359,7 @@ class TestContractionExpansion:
         return sum(
             ham_dp(contract(g, k1, j))
             for j in range(1, g.n + 1)
-            if j != k1 and g.has_arc(k1, j)
+            if j != k1 and g.rows[k1 - 1] >> (j - 1) & 1
         )
 
     @settings(max_examples=50, deadline=None)

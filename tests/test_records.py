@@ -8,15 +8,11 @@ import pytest
 from hamb.bounds import BoundReport, BoundValue, DominanceRecord
 from hamb.errors import PolicyError
 from hamb.estimator import EstimateReport, RowOrderPolicy, TrialOutcome
-from hamb.graphs import ContractedMatrix, CycleWitness, DiGraph, UndiGraph
+from hamb.graphs import ContractedMatrix, DiGraph, UndiGraph
 
 
 def _value() -> BoundValue:
     return BoundValue(exact=Fraction(27, 8), log_upper=1.25, integer_cap=3)
-
-
-def _witness() -> CycleWitness:
-    return CycleWitness.canonical([2, 3, 1], directed=True)
 
 
 _VALUE_REPR = "BoundValue(exact=Fraction(27, 8), log_upper=1.25, integer_cap=3)"
@@ -26,7 +22,6 @@ RECORDS = {
     "ContractedMatrix": (lambda: ContractedMatrix(2, (3, 1)), "rows", "ContractedMatrix(n=2, rows=(3, 1))"),
     "DiGraph": (lambda: DiGraph(2, (2, 1)), "n", "DiGraph(n=2, rows=(2, 1))"),
     "UndiGraph": (lambda: UndiGraph(3, (2, 1, 0)), "rows", "UndiGraph(n=3, rows=(2, 1, 0))"),
-    "CycleWitness": (_witness, "vertices", "CycleWitness(vertices=(1, 2, 3), directed=True)"),
     "RowOrderPolicy": (
         lambda: RowOrderPolicy.from_table([[2, 1], [1, 1]]),
         "kind",
@@ -46,9 +41,9 @@ RECORDS = {
         "new_le_minc=True, new_le_bregman=False)",
     ),
     "TrialOutcome": (
-        lambda: TrialOutcome(value=2, witness=_witness(), p_factors=(2, 1, 1)),
+        lambda: TrialOutcome(value=2, witness=(1, 2, 3), p_factors=(2, 1, 1)),
         "value",
-        "TrialOutcome(value=2, witness=CycleWitness(vertices=(1, 2, 3), directed=True), p_factors=(2, 1, 1))",
+        "TrialOutcome(value=2, witness=(1, 2, 3), p_factors=(2, 1, 1))",
     ),
     "EstimateReport": (
         lambda: EstimateReport(trials=2, sum=4, mean=Fraction(2), sample_variance=Fraction(0),
